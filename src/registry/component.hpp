@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "support/json.hpp"
@@ -24,8 +25,8 @@ namespace gtrix {
 /// Reference to a registered component. `params` is always a JSON object;
 /// after canonicalization (ComponentRegistry::canonicalize) it holds every
 /// declared parameter in schema order with defaults filled in, so two
-/// spellings of the same configuration compare equal. An empty kind means
-/// "unspecified" -- the legacy enum fields of ExperimentConfig decide.
+/// spellings of the same configuration compare equal. An empty kind names
+/// no component; every ExperimentConfig dimension defaults to a real kind.
 struct ComponentSpec {
   std::string kind;
   Json params = Json::object();
@@ -35,6 +36,14 @@ struct ComponentSpec {
   static ComponentSpec of(std::string kind) {
     ComponentSpec spec;
     spec.kind = std::move(kind);
+    return spec;
+  }
+
+  /// A copy with one parameter set, e.g. of("cycle").with("reach", 2).
+  /// Unchecked here; canonicalization validates name and type.
+  ComponentSpec with(std::string_view name, Json value) const {
+    ComponentSpec spec = *this;
+    spec.params.set(name, std::move(value));
     return spec;
   }
 

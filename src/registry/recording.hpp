@@ -28,11 +28,11 @@ class RecordingProvider {
 /// access.
 ComponentRegistry<RecordingProvider>& recording_registry();
 
-/// Resolves a config's recording spec: an empty spec means full recording
-/// (the historical behaviour and the serialization default).
+/// Resolves a config's recording spec (unknown kinds and out-of-range
+/// windows throw JsonError).
 RecordingOptions resolve_recording(const ComponentSpec& spec);
 
-/// The canonical spec an empty selection resolves to ("full").
+/// The canonical default spec ("full"), omitted from serialized configs.
 ComponentSpec recording_spec_default();
 
 }  // namespace gtrix

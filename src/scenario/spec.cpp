@@ -132,9 +132,12 @@ struct ClusteredFaultGen {
 struct ConfigDraft {
   ExperimentConfig config;
   bool layers_track_columns = false;
-  bool split_center = false;
-  bool saw_cycle_reach = false;   ///< explicit 'cycle_reach' key given
-  bool saw_delay_split = false;   ///< explicit 'delay_split_column' key given
+  /// JSON shorthands for the cycle 'reach' and column-split 'split_column'
+  /// component parameters; written into the specs by resolve_draft, in any
+  /// key order relative to the component key.
+  std::optional<std::uint32_t> cycle_reach;
+  std::optional<std::uint32_t> delay_split_column;
+  bool split_center = false;      ///< 'delay_split_column': "center" (columns / 2)
   bool saw_spec_reach = false;    ///< 'reach' set via object form / dotted axis
   bool saw_spec_split = false;    ///< 'split_column' set via object form / dotted axis
   /// Dimensions that received a dotted component-parameter key; a later
@@ -342,35 +345,6 @@ void apply_corrupt_key(CorruptPlan& plan, const std::string& key, const Json& va
   }
 }
 
-// Materializes a component spec from the legacy enum fields so a dotted
-// sweep axis ("base_graph.rows") can set parameters on whatever the base
-// config selected, component- or enum-spelled.
-void ensure_topology_spec(ExperimentConfig& c) {
-  if (c.topology_spec.empty()) {
-    c.topology_spec =
-        topology_registry().canonicalize(topology_spec_from_legacy(c.base_kind, c.cycle_reach));
-  }
-}
-void ensure_clock_spec(ExperimentConfig& c) {
-  if (c.clock_spec.empty()) {
-    c.clock_spec = clock_model_registry().canonicalize(clock_spec_from_legacy(c.clock_model));
-  }
-}
-void ensure_delay_spec(ExperimentConfig& c) {
-  if (c.delay_spec.empty()) {
-    c.delay_spec = delay_registry().canonicalize(
-        delay_spec_from_legacy(c.delay_kind, c.delay_split_column));
-  }
-}
-void ensure_algorithm_spec(ExperimentConfig& c) {
-  if (c.algorithm_spec.empty()) {
-    c.algorithm_spec = algorithm_registry().canonicalize(algorithm_spec_from_legacy(c.algorithm));
-  }
-}
-void ensure_recording_spec(ExperimentConfig& c) {
-  if (c.recording_spec.empty()) c.recording_spec = recording_spec_default();
-}
-
 /// Applies one config field (or a dotted sweep-axis path) to the draft.
 void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& value,
                       const std::string& path) {
@@ -414,25 +388,20 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
     } else if (head == "corrupt") {
       apply_corrupt_key(draft.corrupt, rest, value, path);
     } else if (head == "base_graph") {
-      ensure_topology_spec(draft.config);
       at_path(path, [&] { topology_registry().set_param(draft.config.topology_spec, rest, value); });
       if (rest == "reach") draft.saw_spec_reach = true;
       draft.dotted_topology = true;
     } else if (head == "clock_model") {
-      ensure_clock_spec(draft.config);
       at_path(path, [&] { clock_model_registry().set_param(draft.config.clock_spec, rest, value); });
       draft.dotted_clock = true;
     } else if (head == "delay_model") {
-      ensure_delay_spec(draft.config);
       at_path(path, [&] { delay_registry().set_param(draft.config.delay_spec, rest, value); });
       if (rest == "split_column") draft.saw_spec_split = true;
       draft.dotted_delay = true;
     } else if (head == "algorithm") {
-      ensure_algorithm_spec(draft.config);
       at_path(path, [&] { algorithm_registry().set_param(draft.config.algorithm_spec, rest, value); });
       draft.dotted_algorithm = true;
     } else if (head == "recording") {
-      ensure_recording_spec(draft.config);
       at_path(path, [&] { recording_registry().set_param(draft.config.recording_spec, rest, value); });
       draft.dotted_recording = true;
     } else {
@@ -454,25 +423,13 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
   };
   if (key == "base_graph") {
     check_not_after_dotted(draft.dotted_topology);
-    const ComponentSpec spec = component_from_json(topology_registry(), value, path);
-    BaseGraphKind kind{};
-    std::uint32_t reach = 0;
-    // Only the bare-string spelling maps onto the legacy enum, and it never
-    // touches the parameter fields ('cycle_reach' keeps carrying reach, in
-    // any key order). The object form is authoritative: the spec wins.
-    if (value.is_string() && topology_spec_to_legacy(spec, kind, reach)) {
-      c.base_kind = kind;
-      c.topology_spec = ComponentSpec{};
-    } else {
-      c.topology_spec = spec;
-      if (value.is_object() && value.contains("reach")) draft.saw_spec_reach = true;
-    }
+    c.topology_spec = component_from_json(topology_registry(), value, path);
+    draft.saw_spec_reach = value.is_object() && value.contains("reach");
   } else if (key == "columns") {
     c.columns = read_u32(value, path);
     if (c.columns < 2) fail(path, "need at least 2 columns");
   } else if (key == "cycle_reach") {
-    c.cycle_reach = read_u32(value, path);
-    draft.saw_cycle_reach = true;
+    draft.cycle_reach = read_u32(value, path);
   } else if (key == "trim") {
     c.trim = read_u32(value, path);
   } else if (key == "layers") {
@@ -493,12 +450,7 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
     }
   } else if (key == "algorithm") {
     check_not_after_dotted(draft.dotted_algorithm);
-    const ComponentSpec spec = component_from_json(algorithm_registry(), value, path);
-    if (value.is_string() && algorithm_spec_to_legacy(spec, c.algorithm)) {
-      c.algorithm_spec = ComponentSpec{};
-    } else {
-      c.algorithm_spec = spec;
-    }
+    c.algorithm_spec = component_from_json(algorithm_registry(), value, path);
   } else if (key == "layer0_mode") {
     c.layer0 = at_path(path, [&] {
       return value_of(kLayer0Names, read_string(value, path), "layer-0 mode");
@@ -529,37 +481,22 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
     draft.layer0_pattern = pattern;
   } else if (key == "delay_model") {
     check_not_after_dotted(draft.dotted_delay);
-    const ComponentSpec spec = component_from_json(delay_registry(), value, path);
-    DelayModelKind kind{};
-    std::uint32_t split = 0;
-    // Same rule as base_graph: bare string -> enum only ('delay_split_column'
-    // stays untouched); object form -> the spec wins.
-    if (value.is_string() && delay_spec_to_legacy(spec, kind, split)) {
-      c.delay_kind = kind;
-      c.delay_spec = ComponentSpec{};
-    } else {
-      c.delay_spec = spec;
-      if (value.is_object() && value.contains("split_column")) draft.saw_spec_split = true;
-    }
+    c.delay_spec = component_from_json(delay_registry(), value, path);
+    draft.saw_spec_split = value.is_object() && value.contains("split_column");
   } else if (key == "delay_split_column") {
     if (value.is_string()) {
       if (read_string(value, path) != "center") {
         fail(path, "expected an int or \"center\"");
       }
+      draft.delay_split_column = 0;
       draft.split_center = true;
     } else {
-      c.delay_split_column = read_u32(value, path);
+      draft.delay_split_column = read_u32(value, path);
       draft.split_center = false;
     }
-    draft.saw_delay_split = true;
   } else if (key == "clock_model") {
     check_not_after_dotted(draft.dotted_clock);
-    const ComponentSpec spec = component_from_json(clock_model_registry(), value, path);
-    if (value.is_string() && clock_spec_to_legacy(spec, c.clock_model)) {
-      c.clock_spec = ComponentSpec{};
-    } else {
-      c.clock_spec = spec;
-    }
+    c.clock_spec = component_from_json(clock_model_registry(), value, path);
   } else if (key == "faults") {
     const auto& items = at_path(path, [&]() -> const Json::Array& {
       return value.as_array();
@@ -615,14 +552,9 @@ ConfigDraft draft_from_json(const Json& j, const std::string& path) {
 }
 
 BaseGraph make_base_graph(const ExperimentConfig& config) {
-  // Resolve only the topology dimension; the generators calling this do not
-  // need the other three canonicalized.
-  const ComponentSpec spec = config.topology_spec.empty()
-                                 ? topology_spec_from_legacy(config.base_kind, config.cycle_reach)
-                                 : config.topology_spec;
   TopologyContext ctx;
   ctx.columns = config.columns;
-  return topology_registry().create(spec)->build(ctx);
+  return topology_registry().create(config.topology_spec)->build(ctx);
 }
 
 /// Resolves all generators against the final cell shape. `context` prefixes
@@ -630,43 +562,36 @@ BaseGraph make_base_graph(const ExperimentConfig& config) {
 ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   ExperimentConfig& c = draft.config;
   if (draft.layers_track_columns) c.layers = c.columns;
-  if (draft.split_center) c.delay_split_column = c.columns / 2;
 
-  // An explicit legacy parameter key must reach the experiment even when
-  // its dimension was selected with the object-form spec (e.g. base_graph
-  // {"kind": "cycle"} plus a swept "cycle_reach" axis): route it into the
-  // spec, or reject it when the selected kind cannot take it -- silently
-  // ignoring a swept key would emit identical cells under distinct labels.
-  if (draft.saw_cycle_reach) {
-    const std::string kind = c.topology_spec.empty() ? std::string(to_string(c.base_kind))
-                                                     : c.topology_spec.kind;
-    if (kind != "cycle") {
-      throw JsonError(context + ": 'cycle_reach' has no effect on base graph '" + kind + "'");
+  // A shorthand key must reach the experiment whatever spelling selected its
+  // component (e.g. base_graph {"kind": "cycle"} plus a swept "cycle_reach"
+  // axis): write it into the spec, or reject it when the selected kind
+  // cannot take it -- silently ignoring a swept key would emit identical
+  // cells under distinct labels.
+  if (draft.cycle_reach) {
+    if (c.topology_spec.kind != "cycle") {
+      throw JsonError(context + ": 'cycle_reach' has no effect on base graph '" +
+                      c.topology_spec.kind + "'");
     }
-    if (!c.topology_spec.empty()) {
-      if (draft.saw_spec_reach) {
-        throw JsonError(context + ": 'cycle_reach' conflicts with an explicit "
-                        "'base_graph' reach parameter; use one spelling");
-      }
-      topology_registry().set_param(c.topology_spec, "reach",
-                                    Json(static_cast<std::int64_t>(c.cycle_reach)));
+    if (draft.saw_spec_reach) {
+      throw JsonError(context + ": 'cycle_reach' conflicts with an explicit "
+                      "'base_graph' reach parameter; use one spelling");
     }
+    topology_registry().set_param(c.topology_spec, "reach",
+                                  Json(static_cast<std::int64_t>(*draft.cycle_reach)));
   }
-  if (draft.saw_delay_split || draft.split_center) {
-    const std::string kind = c.delay_spec.empty() ? std::string(to_string(c.delay_kind))
-                                                  : c.delay_spec.kind;
-    if (kind != "column-split") {
+  if (draft.delay_split_column) {
+    if (c.delay_spec.kind != "column-split") {
       throw JsonError(context + ": 'delay_split_column' has no effect on delay model '" +
-                      kind + "'");
+                      c.delay_spec.kind + "'");
     }
-    if (!c.delay_spec.empty()) {
-      if (draft.saw_spec_split) {
-        throw JsonError(context + ": 'delay_split_column' conflicts with an explicit "
-                        "'delay_model' split_column parameter; use one spelling");
-      }
-      delay_registry().set_param(c.delay_spec, "split_column",
-                                 Json(static_cast<std::int64_t>(c.delay_split_column)));
+    if (draft.saw_spec_split) {
+      throw JsonError(context + ": 'delay_split_column' conflicts with an explicit "
+                      "'delay_model' split_column parameter; use one spelling");
     }
+    const std::uint32_t split = draft.split_center ? c.columns / 2 : *draft.delay_split_column;
+    delay_registry().set_param(c.delay_spec, "split_column",
+                               Json(static_cast<std::int64_t>(split)));
   }
 
   if (draft.derive) {
@@ -851,9 +776,8 @@ Json to_json(const PlacedFault& fault) {
 }
 
 Json to_json(const ExperimentConfig& c) {
-  // The four component dimensions serialize in resolved canonical form
-  // (bare kind string, or {"kind": ...} with the non-default parameters),
-  // whether the config was authored via specs or the legacy enums.
+  // The component dimensions serialize in resolved canonical form (bare
+  // kind string, or {"kind": ...} with the non-default parameters).
   const ResolvedComponents components = resolve_components(c);
   Json j = Json::object();
   j.set("base_graph", component_to_json(topology_registry(), components.topology));

@@ -29,8 +29,10 @@
 //   "recording": {"kind": "windowed", "window": 16}
 //
 // Sweep axes reach component parameters through dotted paths
-// ("base_graph.rows", "clock_model.step", "recording.window"). Legacy
-// spellings ("cycle_reach", "delay_split_column") keep working as adapters.
+// ("base_graph.rows", "clock_model.step", "recording.window"). Two JSON
+// shorthands write a component parameter: "cycle_reach" sets the cycle's
+// "reach", and "delay_split_column" (an int or "center" = columns / 2) sets
+// column-split's "split_column".
 //
 // "config" holds the base ExperimentConfig plus *generators* -- fields that
 // cannot be resolved until the concrete cell is known (grid-dependent fault
@@ -65,10 +67,9 @@
 namespace gtrix {
 
 // --- enum <-> string names --------------------------------------------------
-// The component-dimension names (Algorithm, ClockModelKind, DelayModelKind,
-// BaseGraphKind) live next to their registry adapters in registry/*.hpp and
-// FaultKind's in fault/fault.hpp; all are visible through this header.
-// Layer0Mode is not a registry dimension and stays here.
+// Component kinds are registry names (registry/*.hpp); FaultKind's names
+// live in fault/fault.hpp. Layer0Mode is not a registry dimension and stays
+// here.
 std::string_view to_string(Layer0Mode v);
 Layer0Mode layer0_mode_from_string(std::string_view s);
 

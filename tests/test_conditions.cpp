@@ -12,7 +12,7 @@ struct Scenario {
   std::uint64_t seed;
   double u;
   double theta;
-  DelayModelKind delays;
+  ComponentSpec delays;
   Layer0Mode layer0;
 };
 
@@ -26,8 +26,7 @@ TEST_P(ConditionSweep, AllConditionsHold) {
   config.pulses = 18;
   config.seed = scenario.seed;
   config.params = Params::with(1000.0, scenario.u, scenario.theta);
-  config.delay_kind = scenario.delays;
-  config.delay_split_column = 5;
+  config.delay_spec = scenario.delays;
   config.layer0 = scenario.layer0;
   ASSERT_TRUE(config.params.valid_for(config.columns - 1, 1.0));
 
@@ -41,34 +40,35 @@ TEST_P(ConditionSweep, AllConditionsHold) {
                            << (report.samples.empty() ? "" : report.samples[0]);
 }
 
+const ComponentSpec kUniform = ComponentSpec::of("uniform-random");
+
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, ConditionSweep,
     ::testing::Values(
-        Scenario{1, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{2, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kLinePropagation},
-        Scenario{3, 5.0, 1.0002, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{4, 20.0, 1.001, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{5, 10.0, 1.0005, DelayModelKind::kColumnSplit, Layer0Mode::kIdealJitter},
-        Scenario{6, 10.0, 1.0005, DelayModelKind::kAlternating, Layer0Mode::kIdealJitter},
-        Scenario{7, 10.0, 1.0005, DelayModelKind::kAllMax, Layer0Mode::kIdealJitter},
-        Scenario{8, 10.0, 1.0005, DelayModelKind::kAllMin, Layer0Mode::kLinePropagation},
-        Scenario{9, 1.0, 1.00005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{10, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter}));
+        Scenario{1, 10.0, 1.0005, kUniform, Layer0Mode::kIdealJitter},
+        Scenario{2, 10.0, 1.0005, kUniform, Layer0Mode::kLinePropagation},
+        Scenario{3, 5.0, 1.0002, kUniform, Layer0Mode::kIdealJitter},
+        Scenario{4, 20.0, 1.001, kUniform, Layer0Mode::kIdealJitter},
+        Scenario{5, 10.0, 1.0005, ComponentSpec::of("column-split").with("split_column", 5),
+                 Layer0Mode::kIdealJitter},
+        Scenario{6, 10.0, 1.0005, ComponentSpec::of("alternating"), Layer0Mode::kIdealJitter},
+        Scenario{7, 10.0, 1.0005, ComponentSpec::of("all-max"), Layer0Mode::kIdealJitter},
+        Scenario{8, 10.0, 1.0005, ComponentSpec::of("all-min"), Layer0Mode::kLinePropagation},
+        Scenario{9, 1.0, 1.00005, kUniform, Layer0Mode::kIdealJitter},
+        Scenario{10, 10.0, 1.0005, kUniform, Layer0Mode::kIdealJitter}));
 
 TEST(Conditions, HoldUnderClockModelExtremes) {
-  for (const ClockModelKind model :
-       {ClockModelKind::kAllFast, ClockModelKind::kAllSlow, ClockModelKind::kAlternating}) {
+  for (const char* model : {"all-fast", "all-slow", "alternating"}) {
     ExperimentConfig config;
     config.columns = 8;
     config.layers = 8;
     config.pulses = 14;
     config.seed = 42;
-    config.clock_model = model;
+    config.clock_spec = ComponentSpec::of(model);
     World world(config);
     world.run_to_completion();
     const ConditionReport report = world.conditions(5);
-    EXPECT_TRUE(report.ok()) << "model=" << static_cast<int>(model) << ": "
-                             << report.summary();
+    EXPECT_TRUE(report.ok()) << "model=" << model << ": " << report.summary();
   }
 }
 

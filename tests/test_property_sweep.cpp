@@ -22,8 +22,8 @@ struct SweepCase {
   double u;
   double theta;
   Layer0Mode layer0;
-  DelayModelKind delays;
-  ClockModelKind clocks;
+  ComponentSpec delays;
+  ComponentSpec clocks;
   bool with_fault;
 };
 
@@ -38,9 +38,8 @@ TEST_P(PropertySweep, AllInvariantsHold) {
   config.seed = c.seed;
   config.params = Params::with(1000.0, c.u, c.theta);
   config.layer0 = c.layer0;
-  config.delay_kind = c.delays;
-  config.delay_split_column = c.columns / 2;
-  config.clock_model = c.clocks;
+  config.delay_spec = c.delays;
+  config.clock_spec = c.clocks;
   if (c.with_fault) {
     config.faults = {{c.columns / 2, c.layers / 2, FaultSpec::static_offset(120.0)}};
   }
@@ -114,10 +113,10 @@ std::vector<SweepCase> make_cases() {
         c.u = u;
         c.theta = theta;
         c.layer0 = layer0;
-        c.delays = seed % 2 == 0 ? DelayModelKind::kUniformRandom
-                                 : DelayModelKind::kColumnSplit;
-        c.clocks = seed % 3 == 0 ? ClockModelKind::kAlternating
-                                 : ClockModelKind::kRandomStatic;
+        c.delays = seed % 2 == 0
+                       ? ComponentSpec::of("uniform-random")
+                       : ComponentSpec::of("column-split").with("split_column", c.columns / 2);
+        c.clocks = ComponentSpec::of(seed % 3 == 0 ? "alternating" : "random-static");
         c.with_fault = fault;
         cases.push_back(c);
       }

@@ -192,46 +192,6 @@ TEST(DriftWalk, DeterministicForSameSeed) {
   }
 }
 
-// --- legacy enum adapters ----------------------------------------------------
-
-TEST(Adapters, EnumAndSpecSpellingsCompareEqual) {
-  ExperimentConfig via_enum;
-  via_enum.base_kind = BaseGraphKind::kCycle;
-  via_enum.cycle_reach = 2;
-  via_enum.clock_model = ClockModelKind::kAllFast;
-  via_enum.delay_kind = DelayModelKind::kColumnSplit;
-  via_enum.delay_split_column = 4;
-  via_enum.algorithm = Algorithm::kTrixNaive;
-
-  ExperimentConfig via_spec;
-  via_spec.topology_spec = ComponentSpec::of("cycle");
-  via_spec.topology_spec.params.set("reach", 2);
-  via_spec.clock_spec = ComponentSpec::of("all-fast");
-  via_spec.delay_spec = ComponentSpec::of("column-split");
-  via_spec.delay_spec.params.set("split_column", 4);
-  via_spec.algorithm_spec = ComponentSpec::of("trix-naive");
-
-  EXPECT_EQ(via_enum, via_spec);
-  EXPECT_EQ(resolve_components(via_enum), resolve_components(via_spec));
-}
-
-TEST(Adapters, LegacyEnumConfigsProduceIdenticalRunsAsSpecConfigs) {
-  ExperimentConfig via_enum;
-  via_enum.base_kind = BaseGraphKind::kCycle;
-  via_enum.cycle_reach = 2;
-  via_enum.columns = 6;
-  via_enum.layers = 5;
-  via_enum.pulses = 6;
-  ExperimentConfig via_spec = via_enum;
-  via_spec.base_kind = BaseGraphKind::kLineReplicated;  // ignored: spec wins
-  via_spec.topology_spec = ComponentSpec::of("cycle");
-  via_spec.topology_spec.params.set("reach", 2);
-  const ExperimentResult a = run_experiment(via_enum);
-  const ExperimentResult b = run_experiment(via_spec);
-  EXPECT_EQ(a.skew.local_skew, b.skew.local_skew);
-  EXPECT_EQ(a.counters.messages_sent, b.counters.messages_sent);
-}
-
 // --- JSON round trips of the new components ----------------------------------
 
 TEST(ComponentJson, TorusAndDriftWalkRoundTripThroughText) {
@@ -482,7 +442,7 @@ TEST(Caps, CorruptPlanOnNaiveTrixIsAConfigError) {
 
 TEST(Caps, DirectWorldCorruptionIsAHardError) {
   ExperimentConfig config;
-  config.algorithm = Algorithm::kTrixNaive;
+  config.algorithm_spec = ComponentSpec::of("trix-naive");
   config.columns = 4;
   config.layers = 3;
   config.pulses = 4;

@@ -13,28 +13,23 @@ namespace {
 
 // --- enum string round trips -------------------------------------------------
 
-TEST(ScenarioEnums, RoundTripAllValues) {
-  for (const Algorithm v : {Algorithm::kGradientFull, Algorithm::kGradientSimplified,
-                            Algorithm::kTrixNaive}) {
-    EXPECT_EQ(algorithm_from_string(to_string(v)), v);
+/// Every registered kind of `registry` survives a bare-string round trip.
+template <typename Provider>
+void expect_kind_names_round_trip(const ComponentRegistry<Provider>& registry) {
+  for (const std::string& kind : registry.names()) {
+    const ComponentSpec spec = component_from_json(registry, Json(kind), "$");
+    EXPECT_EQ(component_to_json(registry, spec), Json(kind)) << kind;
   }
+}
+
+TEST(ScenarioEnums, RoundTripAllValues) {
+  expect_kind_names_round_trip(algorithm_registry());
   for (const Layer0Mode v : {Layer0Mode::kIdealJitter, Layer0Mode::kLinePropagation}) {
     EXPECT_EQ(layer0_mode_from_string(to_string(v)), v);
   }
-  for (const ClockModelKind v : {ClockModelKind::kRandomStatic, ClockModelKind::kAllFast,
-                                 ClockModelKind::kAllSlow, ClockModelKind::kAlternating}) {
-    EXPECT_EQ(clock_model_from_string(to_string(v)), v);
-  }
-  for (const DelayModelKind v :
-       {DelayModelKind::kUniformRandom, DelayModelKind::kAllMax, DelayModelKind::kAllMin,
-        DelayModelKind::kColumnSplit, DelayModelKind::kAlternating,
-        DelayModelKind::kOwnSlowCrossFast}) {
-    EXPECT_EQ(delay_model_from_string(to_string(v)), v);
-  }
-  for (const BaseGraphKind v :
-       {BaseGraphKind::kLineReplicated, BaseGraphKind::kCycle, BaseGraphKind::kPath}) {
-    EXPECT_EQ(base_graph_from_string(to_string(v)), v);
-  }
+  expect_kind_names_round_trip(clock_model_registry());
+  expect_kind_names_round_trip(delay_registry());
+  expect_kind_names_round_trip(topology_registry());
   for (const FaultKind v : {FaultKind::kCrash, FaultKind::kMuteAfter,
                             FaultKind::kStaticOffset, FaultKind::kSplit, FaultKind::kJitter,
                             FaultKind::kFixedPeriod}) {
@@ -44,7 +39,7 @@ TEST(ScenarioEnums, RoundTripAllValues) {
 
 TEST(ScenarioEnums, UnknownNameListsValidValues) {
   try {
-    (void)algorithm_from_string("nope");
+    (void)algorithm_registry().canonicalize(ComponentSpec::of("nope"));
     FAIL() << "expected JsonError";
   } catch (const JsonError& e) {
     const std::string what = e.what();
@@ -63,19 +58,17 @@ TEST(ConfigJson, DefaultConfigRoundTrips) {
 
 ExperimentConfig make_exotic_config() {
   ExperimentConfig config;
-  config.base_kind = BaseGraphKind::kCycle;
+  config.topology_spec = ComponentSpec::of("cycle").with("reach", 2);
   config.columns = 24;
-  config.cycle_reach = 2;
   config.trim = 1;
   config.layers = 12;
   config.params = Params::with(500.0, 5.0, 1.001);
-  config.algorithm = Algorithm::kGradientSimplified;
+  config.algorithm_spec = ComponentSpec::of("gradient-simplified");
   config.layer0 = Layer0Mode::kLinePropagation;
   config.layer0_jitter = 3.5;
   config.layer0_offset_by_column = {1.0, -2.0, 0.5};
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 7;
-  config.clock_model = ClockModelKind::kAlternating;
+  config.delay_spec = ComponentSpec::of("column-split").with("split_column", 7);
+  config.clock_spec = ComponentSpec::of("alternating");
   config.faults = {
       {3, 4, FaultSpec::crash()},
       {5, 6, FaultSpec::static_offset(-42.0)},
@@ -519,12 +512,12 @@ TEST(Registry, PaperScenariosCoverHeadlineSetups) {
   const auto table1 = builtin_scenario("table1-comparison").cells();
   bool saw_trix_crash = false;
   for (const auto& cell : table1) {
-    if (cell.config.algorithm == Algorithm::kTrixNaive && !cell.config.faults.empty()) {
+    if (cell.config.algorithm_spec.kind == "trix-naive" && !cell.config.faults.empty()) {
       saw_trix_crash = true;
       EXPECT_EQ(cell.config.faults[0].spec.kind, FaultKind::kCrash);
     }
-    EXPECT_EQ(cell.config.delay_kind, DelayModelKind::kColumnSplit);
-    EXPECT_EQ(cell.config.delay_split_column, cell.config.columns / 2);
+    EXPECT_EQ(cell.config.delay_spec,
+              ComponentSpec::of("column-split").with("split_column", cell.config.columns / 2));
   }
   EXPECT_TRUE(saw_trix_crash);
 

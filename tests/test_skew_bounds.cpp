@@ -16,8 +16,15 @@ namespace {
 struct GridSetup {
   std::uint32_t columns;
   std::uint64_t seed;
-  DelayModelKind delays;
+  ComponentSpec delays;
 };
+
+const ComponentSpec kUniform = ComponentSpec::of("uniform-random");
+
+/// Column-split delays at the grid's center column (the Fig. 1 adversary).
+ComponentSpec split_at(std::uint32_t column) {
+  return ComponentSpec::of("column-split").with("split_column", column);
+}
 
 class SkewBoundSweep : public ::testing::TestWithParam<GridSetup> {};
 
@@ -28,8 +35,7 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
   config.layers = setup.columns;
   config.pulses = 16;
   config.seed = setup.seed;
-  config.delay_kind = setup.delays;
-  config.delay_split_column = setup.columns / 2;
+  config.delay_spec = setup.delays;
   const ExperimentResult result = run_experiment(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
@@ -38,13 +44,11 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, SkewBoundSweep,
-    ::testing::Values(GridSetup{6, 1, DelayModelKind::kUniformRandom},
-                      GridSetup{6, 2, DelayModelKind::kColumnSplit},
-                      GridSetup{10, 3, DelayModelKind::kUniformRandom},
-                      GridSetup{10, 4, DelayModelKind::kAlternating},
-                      GridSetup{14, 5, DelayModelKind::kUniformRandom},
-                      GridSetup{14, 6, DelayModelKind::kColumnSplit},
-                      GridSetup{18, 7, DelayModelKind::kUniformRandom}));
+    ::testing::Values(GridSetup{6, 1, kUniform}, GridSetup{6, 2, split_at(3)},
+                      GridSetup{10, 3, kUniform},
+                      GridSetup{10, 4, ComponentSpec::of("alternating")},
+                      GridSetup{14, 5, kUniform}, GridSetup{14, 6, split_at(7)},
+                      GridSetup{18, 7, kUniform}));
 
 TEST(SkewBounds, Psi1WithinCorollary423) {
   ExperimentConfig config;
@@ -96,8 +100,7 @@ TEST(SkewBounds, SkewDoesNotGrowAcrossLayers) {
   config.layers = 24;  // deep grid
   config.pulses = 20;
   config.seed = 23;
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 6;
+  config.delay_spec = split_at(6);
   const ExperimentResult result = run_experiment(config);
   EXPECT_LE(result.skew.intra_by_layer.back(), result.thm11_bound);
 }
