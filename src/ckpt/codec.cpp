@@ -141,6 +141,18 @@ std::string CkptCursor::str() {
   return s;
 }
 
+std::uint64_t CkptCursor::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = u64();
+  const std::size_t remaining = static_cast<std::size_t>(end_ - p_);
+  // Divide instead of multiplying: n * min_element_bytes may overflow.
+  if (min_element_bytes > 0 && n > remaining / min_element_bytes) {
+    throw CkptError("checkpoint section '" + name_ + "' declares " + std::to_string(n) +
+                    " elements but only " + std::to_string(remaining) +
+                    " bytes remain (corrupt file)");
+  }
+  return n;
+}
+
 void CkptCursor::expect_done() const {
   if (!done()) {
     throw CkptError("checkpoint section '" + name_ + "' has trailing bytes (corrupt file)");

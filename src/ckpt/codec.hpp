@@ -90,6 +90,11 @@ class CkptCursor {
   std::int64_t i64();
   double f64();
   std::string str();
+  /// Element count of a sequence whose elements each encode to at least
+  /// `min_element_bytes`. Throws CkptError when the rest of the section
+  /// cannot hold that many, so a patched count (with a recomputed CRC)
+  /// never sizes an allocation.
+  std::uint64_t count(std::size_t min_element_bytes);
 
   bool done() const noexcept { return p_ == end_; }
   void expect_done() const;

@@ -103,6 +103,10 @@ inline void write_iteration(CkptWriter& w, const IterationRecord& rec) {
     w.u8(rec.slot_seen[s] ? 1 : 0);
 }
 
+/// Bytes write_iteration emits per record (for CkptCursor::count).
+inline constexpr std::size_t kIterationBytes = 8 + 4 * 8 + 4 + 2 * 8 + 1 +
+                                               IterationRecord::kMaxSlots * (8 + 1);
+
 inline IterationRecord read_iteration(CkptCursor& cur) {
   IterationRecord rec;
   rec.sigma = cur.i64();

@@ -80,7 +80,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();
@@ -148,7 +148,7 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();
@@ -191,7 +191,7 @@ void LynchWelchGridNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();

@@ -166,7 +166,7 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
   purged_ = cur.u64();
   rebuilds_ = cur.u64();
 
-  const std::uint64_t nslots = cur.u64();
+  const std::uint64_t nslots = cur.count(4 + 1);  // gen + live flag
   slots_.assign(nslots, Slot{});
   struct LiveRef {
     std::uint32_t slot;
@@ -321,7 +321,7 @@ void Network::checkpoint_restore(CkptCursor& cur) {
     }
     for (std::vector<ShardEnvelope>& cell : matrix) {
       cell.clear();
-      const std::uint64_t n = cur.u64();
+      const std::uint64_t n = cur.count(8 + 4 + 4 + 4 + 8);
       cell.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         ShardEnvelope e;
@@ -390,24 +390,24 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
   }
   for (NodeLog& log : logs_) {
     log.first_sigma = cur.i64();
-    const std::uint64_t ntimes = cur.u64();
+    const std::uint64_t ntimes = cur.count(8);
     log.times.resize(ntimes);
     for (SimTime& t : log.times) t = cur.f64();
-    const std::uint64_t niters = cur.u64();
+    const std::uint64_t niters = cur.count(ckpt::kIterationBytes);
     log.iterations.clear();
     log.iterations.reserve(niters);
     for (std::uint64_t i = 0; i < niters; ++i) {
       log.iterations.push_back(ckpt::read_iteration(cur));
     }
     log.iterations_dropped = cur.u64();
-    const std::uint64_t nearly = cur.u64();
+    const std::uint64_t nearly = cur.count(8);
     log.early.resize(nearly);
     for (Sigma& s : log.early) s = cur.i64();
     log.pin_first = cur.i64();
-    const std::uint64_t npin_times = cur.u64();
+    const std::uint64_t npin_times = cur.count(8);
     log.pin_times.resize(npin_times);
     for (SimTime& t : log.pin_times) t = cur.f64();
-    const std::uint64_t npin_iters = cur.u64();
+    const std::uint64_t npin_iters = cur.count(ckpt::kIterationBytes + 8);  // + abs index
     log.pin_iterations.clear();
     log.pin_iterations.reserve(npin_iters);
     for (std::uint64_t i = 0; i < npin_iters; ++i) {
@@ -417,7 +417,7 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
     for (std::uint64_t& abs : log.pin_iter_abs) abs = cur.u64();
     log.lost_lo = cur.i64();
     log.lost_hi = cur.i64();
-    const std::uint64_t nlost = cur.u64();
+    const std::uint64_t nlost = cur.count(8 + 8);
     log.lost_iters.resize(nlost);
     for (LostIter& li : log.lost_iters) {
       li.abs = cur.u64();

@@ -19,6 +19,12 @@ namespace {
   throw JsonError(path + ": " + message);
 }
 
+/// Upper bound on the cells one scenario may expand to, and so on any one
+/// range axis's count. Expansion materializes every cell up front; past
+/// this a typo like {"from": 1, "count": 100000} on two axes would exhaust
+/// memory instead of failing with a path.
+constexpr std::uint64_t kMaxSweepCells = 100'000;
+
 // --- enum name tables -------------------------------------------------------
 
 template <typename E>
@@ -874,6 +880,7 @@ Scenario Scenario::from_json(const Json& doc) {
   ConfigDraft base = draft_from_json(scenario.base_config_, "$.config");
 
   if (sweep != nullptr) {
+    std::uint64_t cells = 1;  // product of the axis sizes so far, <= kMaxSweepCells
     for (const auto& [key, value] : at_path("$.sweep", [&]() -> const Json::Object& {
            return sweep->as_object();
          })) {
@@ -899,6 +906,10 @@ Scenario Scenario::from_json(const Json& doc) {
           }
         }
         if (count < 1) fail(path, "range needs 'count' >= 1");
+        if (static_cast<std::uint64_t>(count) > kMaxSweepCells) {
+          fail(path + ".count", "range count " + std::to_string(count) + " exceeds the limit of " +
+                                    std::to_string(kMaxSweepCells) + " sweep cells");
+        }
         if (step == 0 && count > 1) fail(path, "range 'step' must not be 0");
         for (std::int64_t i = 0; i < count; ++i) {
           axis.values.emplace_back(from + i * step);
@@ -907,6 +918,12 @@ Scenario Scenario::from_json(const Json& doc) {
         fail(path, std::string("expected array or {from, count} range, got ") +
                        value.type_name());
       }
+      if (axis.values.size() > kMaxSweepCells / cells) {
+        fail(path, "sweep expands to more than " + std::to_string(kMaxSweepCells) +
+                       " cells (" + std::to_string(cells) + " before this axis x " +
+                       std::to_string(axis.values.size()) + ")");
+      }
+      cells *= axis.values.size();
       // Dry-apply every axis value so bad axes fail at load time too, and
       // reject duplicates: cell labels are the JSONL row identifier.
       std::set<std::string> labels;

@@ -7,6 +7,7 @@
 // message naming the file, never a silent partial restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -289,6 +290,53 @@ TEST(Ckpt, HardFailuresNameTheFileAndTheCause) {
     FAIL() << "expected engine-mismatch CkptError";
   } catch (const CkptError& e) {
     EXPECT_NE(std::string(e.what()).find("engine fingerprint"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Ckpt, CursorCountRejectsCountsPastTheRemainingBytes) {
+  std::vector<std::uint8_t> bytes(8 + 16, 0);
+  bytes[0] = 2;  // u64 count 2, then 16 bytes of elements
+  CkptCursor fits(bytes.data(), bytes.data() + bytes.size(), "s");
+  EXPECT_EQ(fits.count(8), 2u);
+  CkptCursor too_wide(bytes.data(), bytes.data() + bytes.size(), "s");
+  EXPECT_THROW((void)too_wide.count(9), CkptError);
+  // 2^64 - 1 elements: the multiplication would overflow; the check must not.
+  for (int i = 0; i < 8; ++i) bytes[i] = 0xFF;
+  CkptCursor huge(bytes.data(), bytes.data() + bytes.size(), "s");
+  EXPECT_THROW((void)huge.count(8), CkptError);
+}
+
+TEST(Ckpt, PatchedRecorderCountWithValidCrcIsRejected) {
+  // The CRC only detects accidents: a count patched on purpose (CRC
+  // recomputed) must still fail as CkptError before it sizes anything.
+  const ExperimentConfig config = tiny_config();
+  std::vector<std::uint8_t> image;
+  {
+    World world(config, {});
+    world.run_until(2.0 * config.params.lambda);
+    image = world.checkpoint_save("");
+  }
+  // Section framing: u32 name length | name | u64 body length | body.
+  const std::vector<std::uint8_t> frame = {8, 0, 0, 0, 'r', 'e', 'c', 'o', 'r', 'd', 'e', 'r'};
+  const auto at = std::search(image.begin(), image.end(), frame.begin(), frame.end());
+  ASSERT_NE(at, image.end());
+  // Recorder body: min/max sigma, pulses, pinned, node count, then the first
+  // node's first_sigma and its pulse-time count.
+  const std::size_t ntimes_at = static_cast<std::size_t>(at - image.begin()) + frame.size() + 8 +
+                                6 * 8;
+  for (std::size_t i = 0; i < 8; ++i) image[ntimes_at + i] = i == 6 ? 0x40 : 0;  // 2^54
+  const std::uint32_t crc = ckpt_crc32(image.data(), image.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) image[image.size() - 4 + i] = (crc >> (8 * i)) & 0xFF;
+
+  World target(config, {});
+  CkptFile file = CkptFile::parse(image, "patched.ckpt");
+  try {
+    target.checkpoint_restore(file);
+    FAIL() << "expected CkptError";
+  } catch (const CkptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'recorder' declares 18014398509481984 elements"), std::string::npos)
+        << what;
   }
 }
 

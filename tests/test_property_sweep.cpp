@@ -15,6 +15,11 @@
 namespace gtrix {
 namespace {
 
+// 4-byte selectors rather than ComponentSpecs: gtest names each case after
+// the parameter struct's size and leading bytes.
+enum class Delays : std::uint32_t { kUniform, kCenterSplit };
+enum class Clocks : std::uint32_t { kRandomStatic, kAlternating };
+
 struct SweepCase {
   std::uint64_t seed;
   std::uint32_t columns;
@@ -22,8 +27,8 @@ struct SweepCase {
   double u;
   double theta;
   Layer0Mode layer0;
-  ComponentSpec delays;
-  ComponentSpec clocks;
+  Delays delays;
+  Clocks clocks;
   bool with_fault;
 };
 
@@ -38,8 +43,11 @@ TEST_P(PropertySweep, AllInvariantsHold) {
   config.seed = c.seed;
   config.params = Params::with(1000.0, c.u, c.theta);
   config.layer0 = c.layer0;
-  config.delay_spec = c.delays;
-  config.clock_spec = c.clocks;
+  config.delay_spec = c.delays == Delays::kCenterSplit
+                          ? ComponentSpec::of("column-split").with("split_column", c.columns / 2)
+                          : ComponentSpec::of("uniform-random");
+  config.clock_spec =
+      ComponentSpec::of(c.clocks == Clocks::kAlternating ? "alternating" : "random-static");
   if (c.with_fault) {
     config.faults = {{c.columns / 2, c.layers / 2, FaultSpec::static_offset(120.0)}};
   }
@@ -113,10 +121,8 @@ std::vector<SweepCase> make_cases() {
         c.u = u;
         c.theta = theta;
         c.layer0 = layer0;
-        c.delays = seed % 2 == 0
-                       ? ComponentSpec::of("uniform-random")
-                       : ComponentSpec::of("column-split").with("split_column", c.columns / 2);
-        c.clocks = ComponentSpec::of(seed % 3 == 0 ? "alternating" : "random-static");
+        c.delays = seed % 2 == 0 ? Delays::kUniform : Delays::kCenterSplit;
+        c.clocks = seed % 3 == 0 ? Clocks::kAlternating : Clocks::kRandomStatic;
         c.with_fault = fault;
         cases.push_back(c);
       }

@@ -263,6 +263,46 @@ TEST(Scenario, RangeAxisWithStep) {
   EXPECT_EQ(cells[2].config.seed, 10u);
 }
 
+std::string error_of_scenario(const std::string& text) {
+  try {
+    (void)scenario_from_text(text);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Scenario, OversizedSweepRejectedBeforeExpansion) {
+  // Two 100000-value ranges would expand to 10^10 cells (and used to die in
+  // bad_alloc); the product bound rejects the second axis by path.
+  const std::string product = error_of_scenario(R"({
+    "name": "huge",
+    "sweep": {"seed": {"from": 1, "count": 100000}, "pulses": {"from": 1, "count": 100000}}
+  })");
+  EXPECT_NE(product.find("$.sweep.pulses: sweep expands to more than 100000 cells"),
+            std::string::npos)
+      << product;
+  // A single range past the bound fails on its count before materializing.
+  const std::string count = error_of_scenario(R"({
+    "name": "huge",
+    "sweep": {"seed": {"from": 1, "count": 10000000000}}
+  })");
+  EXPECT_NE(count.find("$.sweep.seed.count: range count 10000000000 exceeds"),
+            std::string::npos)
+      << count;
+  // Explicit arrays count toward the product too: 50^3 = 125000 cells.
+  Json values = Json::array();
+  for (int i = 1; i <= 50; ++i) values.push_back(i);
+  Json sweep = Json::object();
+  for (const char* axis : {"seed", "pulses", "warmup"}) sweep.set(axis, values);
+  Json doc = Json::object();
+  doc.set("name", "cube");
+  doc.set("sweep", std::move(sweep));
+  const std::string arrays = error_of_scenario(doc.dump());
+  EXPECT_NE(arrays.find("$.sweep.warmup: sweep expands to more than"), std::string::npos)
+      << arrays;
+}
+
 TEST(Scenario, BadAxisValueFailsAtLoadTime) {
   // "columns" axis with a string value must fail in from_json, not cells().
   EXPECT_THROW((void)scenario_from_text(R"({

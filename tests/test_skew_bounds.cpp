@@ -16,15 +16,8 @@ namespace {
 struct GridSetup {
   std::uint32_t columns;
   std::uint64_t seed;
-  ComponentSpec delays;
+  const char* delays;  ///< delay-model kind; column-split splits at the center
 };
-
-const ComponentSpec kUniform = ComponentSpec::of("uniform-random");
-
-/// Column-split delays at the grid's center column (the Fig. 1 adversary).
-ComponentSpec split_at(std::uint32_t column) {
-  return ComponentSpec::of("column-split").with("split_column", column);
-}
 
 class SkewBoundSweep : public ::testing::TestWithParam<GridSetup> {};
 
@@ -35,7 +28,10 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
   config.layers = setup.columns;
   config.pulses = 16;
   config.seed = setup.seed;
-  config.delay_spec = setup.delays;
+  config.delay_spec = ComponentSpec::of(setup.delays);
+  if (config.delay_spec.kind == "column-split") {
+    config.delay_spec = config.delay_spec.with("split_column", setup.columns / 2);
+  }
   const ExperimentResult result = run_experiment(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
@@ -44,11 +40,10 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, SkewBoundSweep,
-    ::testing::Values(GridSetup{6, 1, kUniform}, GridSetup{6, 2, split_at(3)},
-                      GridSetup{10, 3, kUniform},
-                      GridSetup{10, 4, ComponentSpec::of("alternating")},
-                      GridSetup{14, 5, kUniform}, GridSetup{14, 6, split_at(7)},
-                      GridSetup{18, 7, kUniform}));
+    ::testing::Values(GridSetup{6, 1, "uniform-random"}, GridSetup{6, 2, "column-split"},
+                      GridSetup{10, 3, "uniform-random"}, GridSetup{10, 4, "alternating"},
+                      GridSetup{14, 5, "uniform-random"}, GridSetup{14, 6, "column-split"},
+                      GridSetup{18, 7, "uniform-random"}));
 
 TEST(SkewBounds, Psi1WithinCorollary423) {
   ExperimentConfig config;
@@ -100,7 +95,7 @@ TEST(SkewBounds, SkewDoesNotGrowAcrossLayers) {
   config.layers = 24;  // deep grid
   config.pulses = 20;
   config.seed = 23;
-  config.delay_spec = split_at(6);
+  config.delay_spec = ComponentSpec::of("column-split").with("split_column", 6);
   const ExperimentResult result = run_experiment(config);
   EXPECT_LE(result.skew.intra_by_layer.back(), result.thm11_bound);
 }

@@ -399,6 +399,11 @@ int main(int argc, char** argv) {
     // not a crash: exit 2, like every other validation error.
     std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
     return 2;
+  } catch (const gtrix::JsonError& e) {
+    // Malformed scenarios and configs ("$.config.columns: ...") are
+    // validation errors too.
+    std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
     return 1;
