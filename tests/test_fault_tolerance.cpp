@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "runner/experiment.hpp"
 
@@ -28,6 +29,10 @@ struct FaultCase {
   const char* name;
   FaultSpec spec;
 };
+
+// gtest prints the parameter into the test's name; the default printer would
+// dump the struct's bytes, whose name pointer differs from run to run.
+void PrintTo(const FaultCase& fault_case, std::ostream* os) { *os << fault_case.name; }
 
 class SingleFaultSweep : public ::testing::TestWithParam<FaultCase> {};
 

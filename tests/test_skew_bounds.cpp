@@ -13,25 +13,37 @@
 namespace gtrix {
 namespace {
 
+// gtest names each case after the parameter struct's size and bytes, so the
+// struct holds only 8-byte values: no padding and no pointers, whose bytes
+// would differ from run to run.
+enum class Delays : std::uint64_t { kUniform, kColumnSplit, kAlternating };
+
 struct GridSetup {
-  std::uint32_t columns;
+  std::uint64_t columns;
   std::uint64_t seed;
-  const char* delays;  ///< delay-model kind; column-split splits at the center
+  Delays delays;  ///< column-split splits at the center
 };
+
+ComponentSpec delay_spec(Delays delays, std::uint32_t columns) {
+  switch (delays) {
+    case Delays::kUniform: return ComponentSpec::of("uniform-random");
+    case Delays::kColumnSplit:
+      return ComponentSpec::of("column-split").with("split_column", columns / 2);
+    case Delays::kAlternating: return ComponentSpec::of("alternating");
+  }
+  return {};
+}
 
 class SkewBoundSweep : public ::testing::TestWithParam<GridSetup> {};
 
 TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
   const GridSetup& setup = GetParam();
   ExperimentConfig config;
-  config.columns = setup.columns;
-  config.layers = setup.columns;
+  config.columns = static_cast<std::uint32_t>(setup.columns);
+  config.layers = config.columns;
   config.pulses = 16;
   config.seed = setup.seed;
-  config.delay_spec = ComponentSpec::of(setup.delays);
-  if (config.delay_spec.kind == "column-split") {
-    config.delay_spec = config.delay_spec.with("split_column", setup.columns / 2);
-  }
+  config.delay_spec = delay_spec(setup.delays, config.columns);
   const ExperimentResult result = run_experiment(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
@@ -40,10 +52,10 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, SkewBoundSweep,
-    ::testing::Values(GridSetup{6, 1, "uniform-random"}, GridSetup{6, 2, "column-split"},
-                      GridSetup{10, 3, "uniform-random"}, GridSetup{10, 4, "alternating"},
-                      GridSetup{14, 5, "uniform-random"}, GridSetup{14, 6, "column-split"},
-                      GridSetup{18, 7, "uniform-random"}));
+    ::testing::Values(GridSetup{6, 1, Delays::kUniform}, GridSetup{6, 2, Delays::kColumnSplit},
+                      GridSetup{10, 3, Delays::kUniform}, GridSetup{10, 4, Delays::kAlternating},
+                      GridSetup{14, 5, Delays::kUniform}, GridSetup{14, 6, Delays::kColumnSplit},
+                      GridSetup{18, 7, Delays::kUniform}));
 
 TEST(SkewBounds, Psi1WithinCorollary423) {
   ExperimentConfig config;
