@@ -92,9 +92,9 @@ void LogQuantileSketch::checkpoint_restore(CkptCursor& cur) {
 // no influence on the event order.
 
 void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(EventQueue, 248);
-  GTRIX_CKPT_FIELDS(Slot, 7);
-  GTRIX_CKPT_FIELDS(QueueEntry, 5);
+  GTRIX_CKPT_SIZEOF(EventQueue, 224);
+  GTRIX_CKPT_FIELDS(Slot, 9);
+  GTRIX_CKPT_FIELDS(QueueEntry, 4);
   GTRIX_CKPT_FIELDS(EventPayload, 5);
   w.u64(next_seq_);
   w.u64(scheduled_);
@@ -103,39 +103,13 @@ void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) co
   w.u64(purged_);
   w.u64(rebuilds_);
 
-  // Harvest each live slot's sequence number from the priority structure
-  // (the slot itself does not store it).
-  std::vector<std::uint64_t> seq_of(slots_.size(), 0);
-  std::vector<std::uint8_t> has_seq(slots_.size(), 0);
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    std::priority_queue<QueueEntry> copy = heap_;
-    while (!copy.empty()) {
-      const QueueEntry entry = copy.top();
-      copy.pop();
-      if (!stale(entry)) {
-        seq_of[entry.slot] = entry.seq;
-        has_seq[entry.slot] = 1;
-      }
-    }
-  } else {
-    for (const std::vector<QueueEntry>& bucket : buckets_) {
-      for (const QueueEntry& entry : bucket) {
-        if (!stale(entry)) {
-          seq_of[entry.slot] = entry.seq;
-          has_seq[entry.slot] = 1;
-        }
-      }
-    }
-  }
-
   w.u64(slots_.size());
   std::size_t live_written = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Slot& slot = slots_[i];
     w.u32(slot.gen);
-    w.u8(slot.live ? 1 : 0);
-    if (!slot.live) continue;
-    GTRIX_CHECK_MSG(has_seq[i], "live event slot missing from the priority structure");
+    w.u8(slot.live() ? 1 : 0);
+    if (!slot.live()) continue;
     w.f64(slot.time);
     w.u32(slot.kind);
     w.u32(slot.payload.a);
@@ -144,14 +118,14 @@ void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) co
     w.i64(slot.payload.i);
     w.f64(slot.payload.f);
     w.u32(targets.id_of(slot.target));
-    w.u64(seq_of[i]);
+    w.u64(slot.seq);
     ++live_written;
   }
   GTRIX_CHECK_MSG(live_written == live_, "event queue live count out of sync");
 
   std::vector<std::uint32_t> chain;
   chain.reserve(slots_.size() - live_);
-  for (std::uint32_t i = free_head_; i != kInvalidEventSlot; i = slots_[i].next_free) {
+  for (std::uint32_t i = free_head_; i != kInvalidEventSlot; i = slots_[i].next) {
     chain.push_back(i);
   }
   w.u64(chain.size());
@@ -168,18 +142,11 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
 
   const std::uint64_t nslots = cur.count(4 + 1);  // gen + live flag
   slots_.assign(nslots, Slot{});
-  struct LiveRef {
-    std::uint32_t slot;
-    std::uint64_t seq;
-  };
-  std::vector<LiveRef> lives;
   live_ = 0;
   for (std::size_t i = 0; i < nslots; ++i) {
     Slot& slot = slots_[i];
     slot.gen = cur.u32();
-    slot.live = cur.u8() != 0;
-    slot.next_free = kInvalidEventSlot;
-    if (!slot.live) continue;
+    if (cur.u8() == 0) continue;  // free; relinked from the freelist below
     slot.time = cur.f64();
     slot.kind = cur.u32();
     slot.payload.a = cur.u32();
@@ -188,7 +155,7 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
     slot.payload.i = cur.i64();
     slot.payload.f = cur.f64();
     slot.target = targets.target_of(cur.u32());
-    lives.push_back({static_cast<std::uint32_t>(i), cur.u64()});
+    slot.seq = cur.u64();
     ++live_;
   }
 
@@ -200,47 +167,39 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
   std::uint32_t prev = kInvalidEventSlot;
   for (std::uint64_t k = 0; k < nfree; ++k) {
     const std::uint32_t idx = cur.u32();
-    if (idx >= nslots || slots_[idx].live) {
+    if (idx >= nslots || slots_[idx].live()) {
       throw CkptError("checkpoint event queue freelist corrupt");
     }
     if (prev == kInvalidEventSlot) {
       free_head_ = idx;
     } else {
-      slots_[prev].next_free = idx;
+      slots_[prev].next = idx;
     }
     prev = idx;
   }
 
   // Reset the priority structures and refill from the exact (time, seq)
   // pairs. The calendar is refit to the restored population (same policy
-  // as any purge rebuild); bucket geometry is engine-shaped state.
+  // as any rebuild); bucket geometry is engine-shaped state.
   heap_ = {};
-  buckets_.clear();
-  entry_count_ = 0;
-  dead_ = 0;
-  cur_epoch_ = 0;
-  peek_ = PeekRef{};
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    for (const LiveRef& ref : lives) {
-      heap_.push(QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
+  peek_ = kInvalidEventSlot;
+  rebuild_scratch_.clear();
+  for (std::uint32_t i = 0; i < nslots; ++i) {
+    const Slot& slot = slots_[i];
+    if (!slot.live()) continue;
+    if (kind_ == SchedulerKind::kBinaryHeap) {
+      heap_.push(QueueEntry{slot.time, slot.seq, i, slot.gen});
+    } else {
+      rebuild_scratch_.push_back(RebuildKey{slot.time, slot.seq, i});
     }
-  } else {
-    buckets_.resize(8);  // kMinBuckets; the rebuild below refits the size
-    bucket_mask_ = buckets_.size() - 1;
-    width_ = 1.0;
-    inv_width_ = 1.0;
-    for (const LiveRef& ref : lives) {
-      calendar_insert(
-          QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
-    }
-    calendar_rebuild(8);
   }
+  if (kind_ == SchedulerKind::kCalendar) calendar_refit(8);  // kMinBuckets
 }
 
 // --- Simulator ---------------------------------------------------------------
 
 void Simulator::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(Simulator, 264);
+  GTRIX_CKPT_SIZEOF(Simulator, 240);
   w.f64(now_);
   queue_.checkpoint_save(w, targets);
 }

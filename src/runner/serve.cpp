@@ -25,11 +25,6 @@ void write_text_atomic(const fs::path& path, const std::string& text) {
   ckpt_write_file_atomic(path.string(), std::vector<std::uint8_t>(text.begin(), text.end()));
 }
 
-std::string read_text_file(const fs::path& path) {
-  const std::vector<std::uint8_t> bytes = ckpt_read_file(path.string());
-  return std::string(bytes.begin(), bytes.end());
-}
-
 bool valid_job_name(const std::string& name) {
   if (name.empty() || name.size() > 128 || name.front() == '.') return false;
   for (const char ch : name) {

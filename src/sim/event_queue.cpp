@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "support/check.hpp"
 
@@ -12,13 +13,12 @@ namespace gtrix {
 namespace {
 
 constexpr std::size_t kMinBuckets = 8;
-constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
 }  // namespace
 
 EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
   if (kind_ == SchedulerKind::kCalendar) {
-    buckets_.resize(kMinBuckets);
+    buckets_.assign(kMinBuckets, kInvalidEventSlot);
     bucket_mask_ = buckets_.size() - 1;
   }
 }
@@ -26,7 +26,7 @@ EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kInvalidEventSlot) {
     const std::uint32_t index = free_head_;
-    free_head_ = slots_[index].next_free;
+    free_head_ = slots_[index].next;
     return index;
   }
   GTRIX_CHECK_MSG(slots_.size() < kInvalidEventSlot, "event slot table overflow");
@@ -36,10 +36,9 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.live = false;
   slot.target = nullptr;
-  ++slot.gen;  // invalidates every outstanding handle and queue entry
-  slot.next_free = free_head_;
+  ++slot.gen;  // invalidates every outstanding handle and heap entry
+  slot.next = free_head_;
   free_head_ = index;
 }
 
@@ -51,12 +50,12 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
   slot.payload = payload;
   slot.target = target;
   slot.time = t;
+  slot.seq = next_seq_++;
   slot.kind = kind;
-  slot.live = true;
   if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push(QueueEntry{t, next_seq_++, 0, index, slot.gen});
+    heap_.push(QueueEntry{t, slot.seq, index, slot.gen});
   } else {
-    calendar_insert(QueueEntry{t, next_seq_++, 0, index, slot.gen});
+    calendar_insert(index);
   }
   ++scheduled_;
   ++live_;
@@ -66,37 +65,34 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
 bool EventQueue::cancel(TimerHandle handle) {
   if (!pending(handle)) return false;
   if (kind_ == SchedulerKind::kCalendar) {
-    // The bucket entry stays until a scan meets it; account it as dead so
-    // the purge policy keeps the calendar free of cancelled bulk.
-    ++dead_;
-    if (peek_.valid) {
-      const QueueEntry& cached = buckets_[peek_.bucket][peek_.index];
-      if (cached.slot == handle.slot && cached.gen == handle.gen) peek_.valid = false;
-    }
+    if (peek_ == handle.slot) peek_ = kInvalidEventSlot;
+    calendar_unlink(handle.slot);
   }
   release_slot(handle.slot);
   --live_;
   ++cancelled_;
-  if (kind_ == SchedulerKind::kCalendar && dead_ > 64 && dead_ * 2 > entry_count_) {
-    calendar_rebuild(kMinBuckets);
-  }
+  if (kind_ == SchedulerKind::kCalendar) calendar_maybe_shrink();
   return true;
 }
 
 bool EventQueue::pending(TimerHandle handle) const noexcept {
   if (handle.slot == kInvalidEventSlot || handle.slot >= slots_.size()) return false;
   const Slot& slot = slots_[handle.slot];
-  return slot.live && slot.gen == handle.gen;
+  return slot.live() && slot.gen == handle.gen;
 }
 
 SimTime EventQueue::next_time() const {
   GTRIX_CHECK_MSG(live_ > 0, "next_time on empty queue");
+  return peek_time();
+}
+
+SimTime EventQueue::peek_time() const {
   if (kind_ == SchedulerKind::kBinaryHeap) {
     heap_skim();
     return heap_.top().time;
   }
   GTRIX_CHECK(calendar_find_min());
-  return buckets_[peek_.bucket][peek_.index].time;
+  return slots_[peek_].time;
 }
 
 bool EventQueue::run_next() {
@@ -105,19 +101,28 @@ bool EventQueue::run_next() {
 }
 
 bool EventQueue::run_next_due(SimTime deadline, SimTime& fired) {
-  if (live_ == 0) return false;
+  if (live_ == 0 || peek_time() > deadline) return false;
+  dispatch_min(fired);
+  return true;
+}
+
+bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
+  if (live_ == 0 || peek_time() >= horizon) return false;
+  dispatch_min(fired);
+  return true;
+}
+
+void EventQueue::dispatch_min(SimTime& fired) {
   std::uint32_t slot_index;
   if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    if (heap_.top().time > deadline) return false;
     slot_index = heap_.top().slot;
     heap_.pop();
   } else {
-    GTRIX_CHECK(calendar_find_min());
-    const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
-    if (top.time > deadline) return false;
-    slot_index = top.slot;
-    calendar_pop_peeked();
+    slot_index = peek_;
+    GTRIX_DEBUG_CHECK_MSG(slots_[slot_index].epoch == epoch_of(slots_[slot_index].time),
+                          "popping a calendar entry whose epoch predates the current width");
+    calendar_unlink(slot_index);
+    peek_ = kInvalidEventSlot;
   }
   Slot& slot = slots_[slot_index];
   const Event event{slot.time, slot.kind, slot.payload};
@@ -127,35 +132,9 @@ bool EventQueue::run_next_due(SimTime deadline, SimTime& fired) {
   release_slot(slot_index);
   --live_;
   ++executed_;
+  if (kind_ == SchedulerKind::kCalendar) calendar_maybe_shrink();
   fired = event.time;
   target->on_timer(event);
-  return true;
-}
-
-bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
-  if (live_ == 0) return false;
-  std::uint32_t slot_index;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    if (heap_.top().time >= horizon) return false;
-    slot_index = heap_.top().slot;
-    heap_.pop();
-  } else {
-    GTRIX_CHECK(calendar_find_min());
-    const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
-    if (top.time >= horizon) return false;
-    slot_index = top.slot;
-    calendar_pop_peeked();
-  }
-  Slot& slot = slots_[slot_index];
-  const Event event{slot.time, slot.kind, slot.payload};
-  TimerTarget* target = slot.target;
-  release_slot(slot_index);
-  --live_;
-  ++executed_;
-  fired = event.time;
-  target->on_timer(event);
-  return true;
 }
 
 // --- binary-heap engine ------------------------------------------------------
@@ -170,20 +149,26 @@ void EventQueue::heap_skim() const {
 // --- calendar engine ---------------------------------------------------------
 //
 // Invariants (kCalendar):
-//  * an entry with time t lives in bucket epoch_of(t) mod nbuckets;
-//  * every bucket is sorted DESCENDING by (time, seq), so the bucket's
-//    earliest entry sits at the back and a pop is an O(1) pop_back;
-//  * no live entry has an epoch below cur_epoch_ (inserts behind the cursor
-//    pull it back), so the year scan starting at cur_epoch_ always meets
-//    the global (time, seq) minimum first;
+//  * a live slot with time t is linked into the chain of bucket
+//    epoch_of(t) mod nbuckets; nothing else is linked;
+//  * every chain is sorted ASCENDING by (time, seq) and doubly linked, with
+//    the head's prev pointing at the tail: the bucket's earliest event is
+//    its head (O(1) pop) and its latest the tail (O(1) append);
+//  * no linked slot has an epoch below cur_epoch_ (inserts behind the
+//    cursor pull it back), so the year scan starting at cur_epoch_ always
+//    meets the global (time, seq) minimum first;
 //  * equal times map to equal buckets, so FIFO among ties falls out of the
 //    (time, seq) sort order.
 
 long long EventQueue::epoch_of(SimTime t) const noexcept {
   // Multiply by the precomputed inverse: cheaper than dividing, and any
   // rounding difference vs t / width_ is harmless -- the mapping only has
-  // to be one deterministic monotone function used consistently.
-  return static_cast<long long>(std::floor(t * inv_width_));
+  // to be one deterministic monotone function used consistently. The clamp
+  // keeps it monotone (and the cast defined) for a time far beyond the
+  // population the width was fitted to; saturated times share a bucket,
+  // whose chain still orders them.
+  constexpr double kMaxEpoch = 0x1p62;
+  return static_cast<long long>(std::floor(std::clamp(t * inv_width_, -kMaxEpoch, kMaxEpoch)));
 }
 
 std::size_t EventQueue::bucket_of_epoch(long long epoch) const noexcept {
@@ -192,63 +177,103 @@ std::size_t EventQueue::bucket_of_epoch(long long epoch) const noexcept {
   return static_cast<std::size_t>(static_cast<unsigned long long>(epoch) & bucket_mask_);
 }
 
-void EventQueue::calendar_insert(const QueueEntry& entry_in) {
-  if (calendar_live() > buckets_.size() * 2) {
+std::size_t EventQueue::calendar_linked_count() const noexcept {
+  std::size_t n = 0;
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t i = head; i != kInvalidEventSlot; i = slots_[i].next) ++n;
+  }
+  return n;
+}
+
+void EventQueue::calendar_insert(std::uint32_t index) {
+  if (live_ > buckets_.size() * 2) {
     calendar_rebuild(buckets_.size() * 2);
   }
-  QueueEntry entry = entry_in;
-  entry.epoch = epoch_of(entry.time);  // rebuild above may have changed width
-  const long long epoch = entry.epoch;
-  const std::size_t b = bucket_of_epoch(epoch);
-  std::vector<QueueEntry>& bucket = buckets_[b];
-  // Keep the bucket sorted descending by (time, seq): first index whose
-  // entry fires before the new one is the insertion point. Buckets hold
-  // ~2 entries on average (the rebuild policy pins occupancy), so a linear
-  // scan beats binary search here.
-  std::size_t pos = 0;
-  while (pos < bucket.size() && !fires_before(bucket[pos], entry)) ++pos;
-  bucket.insert(bucket.begin() + static_cast<std::ptrdiff_t>(pos), entry);
-  ++entry_count_;
-  if (peek_.valid && peek_.bucket == b && pos <= peek_.index) ++peek_.index;
-  if (epoch < cur_epoch_) {
+  Slot& slot = slots_[index];
+  slot.epoch = epoch_of(slot.time);  // rebuild above may have changed width
+  calendar_link(index);
+  if (slot.epoch < cur_epoch_) {
     // Scheduled behind the scan cursor (a queue used directly before any
     // pop, or after the cursor chased a sparse far-future tail). Pull the
-    // cursor back; by the cursor invariant no other live entry sits at an
-    // epoch this low, so the new entry is the minimum.
-    cur_epoch_ = epoch;
-    peek_ = PeekRef{b, pos, true};
+    // cursor back; by the cursor invariant no other linked slot sits at an
+    // epoch this low, so the new event is the minimum.
+    cur_epoch_ = slot.epoch;
+    peek_ = index;
 #ifdef GTRIX_DEBUG_CHECKS
     // The behind-cursor insert is exactly the spot the EPOCH FRESHNESS
-    // INVARIANT (header) protects: after a purge rebuild refit width_, a
-    // pre-rebuild epoch would bucket this entry into a year the scan never
-    // meets. Walk the whole calendar while the debug build has the chance.
+    // INVARIANT (header) protects: after a rebuild refit width_, a
+    // pre-rebuild epoch would bucket this event into a year the scan never
+    // meets. Walk the whole calendar while the debug build has the chance
+    // (counting the just-linked event, which schedule() adds to live_ next).
+    ++live_;
     calendar_verify_epochs();
+    --live_;
 #endif
-  } else if (peek_.valid &&
-             fires_before(entry, buckets_[peek_.bucket][peek_.index])) {
-    peek_ = PeekRef{b, pos, true};
+  } else if (peek_ != kInvalidEventSlot && fires_before(index, peek_)) {
+    peek_ = index;
+  }
+}
+
+void EventQueue::calendar_link(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  std::uint32_t& head = buckets_[bucket_of_epoch(slot.epoch)];
+  if (head == kInvalidEventSlot) {
+    head = index;
+    slot.prev = index;
+    slot.next = kInvalidEventSlot;
+    return;
+  }
+  // Walk back from the tail to the last entry that fires before the new
+  // one. Events mostly arrive in time order and same-instant ties in seq
+  // order, so the walk usually stops at the tail itself.
+  const std::uint32_t tail = slots_[head].prev;
+  std::uint32_t at = tail;
+  while (!fires_before(at, index)) {
+    ++insert_steps_;
+    if (at == head) {
+      // Fires before every entry: the new head.
+      slot.prev = tail;
+      slot.next = head;
+      slots_[head].prev = index;
+      head = index;
+      return;
+    }
+    at = slots_[at].prev;
+  }
+  const std::uint32_t after = slots_[at].next;
+  slot.prev = at;
+  slot.next = after;
+  slots_[at].next = index;
+  slots_[after == kInvalidEventSlot ? head : after].prev = index;  // head: new tail
+}
+
+void EventQueue::calendar_unlink(std::uint32_t index) {
+  const Slot& slot = slots_[index];
+  std::uint32_t& head = buckets_[bucket_of_epoch(slot.epoch)];
+  const std::uint32_t prev = slot.prev;
+  const std::uint32_t next = slot.next;
+  if (index == head) {
+    head = next;
+    if (next != kInvalidEventSlot) slots_[next].prev = prev;  // keeps the tail
+  } else {
+    slots_[prev].next = next;
+    slots_[next == kInvalidEventSlot ? head : next].prev = prev;
   }
 }
 
 bool EventQueue::calendar_find_min() const {
-  if (peek_.valid) return true;
+  if (peek_ != kInvalidEventSlot) return true;
   if (live_ == 0) return false;
   for (std::size_t lap = 0; lap < buckets_.size(); ++lap) {
     const long long epoch = cur_epoch_ + static_cast<long long>(lap);
-    std::vector<QueueEntry>& bucket = buckets_[bucket_of_epoch(epoch)];
-    // Skim the stale tail; what remains at the back is the bucket's
-    // earliest live entry (sorted descending).
-    while (!bucket.empty() && stale(bucket.back())) {
-      bucket.pop_back();
-      --entry_count_;
-      --dead_;
-      ++purged_;
-    }
-    if (!bucket.empty() && bucket.back().epoch == epoch) {
-      GTRIX_DEBUG_CHECK_MSG(bucket.back().epoch == epoch_of(bucket.back().time),
+    const std::uint32_t head = buckets_[bucket_of_epoch(epoch)];
+    // The head is the chain's earliest event; it belongs to this year iff
+    // its epoch is the scan epoch.
+    if (head != kInvalidEventSlot && slots_[head].epoch == epoch) {
+      GTRIX_DEBUG_CHECK_MSG(epoch == epoch_of(slots_[head].time),
                             "calendar entry epoch stamped under a stale width");
       cur_epoch_ = epoch;
-      peek_ = PeekRef{bucket_of_epoch(epoch), bucket.size() - 1, true};
+      peek_ = head;
       return true;
     }
   }
@@ -259,111 +284,107 @@ bool EventQueue::calendar_find_min() const {
 }
 
 bool EventQueue::calendar_global_min() const {
-  std::size_t best_bucket = kNoIndex;
-  std::size_t best_index = kNoIndex;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    std::vector<QueueEntry>& bucket = buckets_[b];
-    // Back-most live entry is the bucket's earliest; stale entries deeper
-    // in are left for the purge rebuild.
-    for (std::size_t i = bucket.size(); i-- > 0;) {
-      if (stale(bucket[i])) continue;
-      if (best_bucket == kNoIndex ||
-          fires_before(bucket[i], buckets_[best_bucket][best_index])) {
-        best_bucket = b;
-        best_index = i;
-      }
-      break;
+  std::uint32_t best = kInvalidEventSlot;
+  for (const std::uint32_t head : buckets_) {
+    if (head != kInvalidEventSlot && (best == kInvalidEventSlot || fires_before(head, best))) {
+      best = head;
     }
   }
-  if (best_bucket == kNoIndex) return false;
-  cur_epoch_ = buckets_[best_bucket][best_index].epoch;
-  peek_ = PeekRef{best_bucket, best_index, true};
+  if (best == kInvalidEventSlot) return false;
+  cur_epoch_ = slots_[best].epoch;
+  peek_ = best;
   return true;
 }
 
-void EventQueue::calendar_pop_peeked() {
-  std::vector<QueueEntry>& bucket = buckets_[peek_.bucket];
-  GTRIX_DEBUG_CHECK_MSG(
-      bucket[peek_.index].epoch == epoch_of(bucket[peek_.index].time),
-      "popping a calendar entry whose epoch predates the current width");
-  // Order-preserving removal; the peeked entry is at or near the back.
-  bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(peek_.index));
-  --entry_count_;
-  peek_.valid = false;
-  if (buckets_.size() > kMinBuckets && calendar_live() * 8 < buckets_.size()) {
+void EventQueue::calendar_maybe_shrink() {
+  if (buckets_.size() > kMinBuckets && live_ * 8 < buckets_.size()) {
     calendar_rebuild(kMinBuckets);
   }
 }
 
 void EventQueue::calendar_rebuild(std::size_t min_buckets) {
-  // Collect the live population and fit the calendar to it: bucket count ~
-  // the next power of two above the population (about one entry per bucket)
-  // and width ~ twice the mean gap between pending event times, so one
-  // year spans the whole pending window. Bucket vectors are reused (only
-  // cleared), so a purge rebuild performs no per-bucket reallocation.
-  ++rebuilds_;
-  std::vector<QueueEntry>& entries = rebuild_scratch_;
-  entries.clear();
-  entries.reserve(calendar_live());
-  for (std::vector<QueueEntry>& bucket : buckets_) {
-    for (const QueueEntry& entry : bucket) {
-      if (!stale(entry)) entries.push_back(entry);
+  // Collect the linked population in (time, seq) order and fit the calendar
+  // to it: bucket count ~ the next power of two above the population (about
+  // one event per bucket) and width ~ twice the mean gap inside the densest
+  // quarter of it. Pending events crowd into the wave band d ahead of the
+  // cursor, so a width fitted to the whole span would pack the band into a
+  // few long chains; fitting it to the band keeps those chains short.
+  rebuild_scratch_.clear();
+  for (const std::uint32_t head : buckets_) {
+    for (std::uint32_t i = head; i != kInvalidEventSlot; i = slots_[i].next) {
+      rebuild_scratch_.push_back(RebuildKey{slots_[i].time, slots_[i].seq, i});
     }
-    bucket.clear();
   }
-  purged_ += dead_;  // the stale entries just dropped with their buckets
-  dead_ = 0;
-  entry_count_ = entries.size();
-  const std::size_t target = std::max(min_buckets, std::bit_ceil(entries.size()));
-  if (target != buckets_.size()) buckets_.resize(target);
+  calendar_refit(min_buckets);
+}
 
-  double min_t = std::numeric_limits<double>::infinity();
-  double max_t = -std::numeric_limits<double>::infinity();
-  for (const QueueEntry& entry : entries) {
-    min_t = std::min(min_t, entry.time);
-    max_t = std::max(max_t, entry.time);
-  }
+void EventQueue::calendar_refit(std::size_t min_buckets) {
+  ++rebuilds_;
+  std::vector<RebuildKey>& keys = rebuild_scratch_;
+  std::sort(keys.begin(), keys.end(), [](const RebuildKey& a, const RebuildKey& b) {
+    return std::tie(a.time, a.seq) < std::tie(b.time, b.seq);
+  });
+  const std::size_t n = keys.size();
+  buckets_.assign(std::max(min_buckets, std::bit_ceil(n)), kInvalidEventSlot);
+  bucket_mask_ = buckets_.size() - 1;
+
   double width = 1.0;
-  if (entries.size() >= 2 && max_t > min_t) {
-    width = 2.0 * (max_t - min_t) / static_cast<double>(entries.size());
+  if (n >= 2 && keys.back().time > keys.front().time) {
+    // Densest run of ceil(n/4) consecutive events.
+    const std::size_t run = (n + 3) / 4;
+    double span = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i + run <= n; ++i) {
+      span = std::min(span, keys[i + run - 1].time - keys[i].time);
+    }
+    width = span > 0.0 ? 2.0 * span / static_cast<double>(run)
+                       : 2.0 * (keys.back().time - keys.front().time) / static_cast<double>(n);
     // Keep floor(t / width) well inside the integer range even for large
     // absolute times with tightly clustered events.
-    width = std::max(width, (std::abs(max_t) + 1.0) * 1e-12);
+    width = std::max(width, (std::abs(keys.back().time) + 1.0) * 1e-12);
   }
   width_ = width;
   inv_width_ = 1.0 / width_;
-  bucket_mask_ = buckets_.size() - 1;
 
-  // Distributing in globally descending (time, seq) order leaves every
-  // bucket sorted descending.
-  std::sort(entries.begin(), entries.end(),
-            [](const QueueEntry& a, const QueueEntry& b) { return fires_before(b, a); });
-  for (QueueEntry& entry : entries) {
-    entry.epoch = epoch_of(entry.time);
-    buckets_[bucket_of_epoch(entry.epoch)].push_back(entry);
+  // Linking in ascending (time, seq) order appends every event at its
+  // chain's tail.
+  for (const RebuildKey& key : keys) {
+    slots_[key.slot].epoch = epoch_of(key.time);
+    calendar_link(key.slot);
   }
-  // Re-anchor the cursor at the earliest entry (or at zero when empty).
-  peek_.valid = false;
-  cur_epoch_ = entries.empty() ? 0 : epoch_of(min_t);
+  // Re-anchor the cursor at the earliest event (or at zero when empty).
+  peek_ = kInvalidEventSlot;
+  cur_epoch_ = n == 0 ? 0 : slots_[keys.front().slot].epoch;
 #ifdef GTRIX_DEBUG_CHECKS
   calendar_verify_epochs();
 #endif
 }
 
 void EventQueue::calendar_verify_epochs() const {
+  std::size_t linked = 0;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<QueueEntry>& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const QueueEntry& entry = bucket[i];
-      if (stale(entry)) continue;
-      GTRIX_CHECK_MSG(entry.epoch == epoch_of(entry.time),
+    const std::uint32_t head = buckets_[b];
+    if (head == kInvalidEventSlot) continue;
+    std::uint32_t last = kInvalidEventSlot;
+    for (std::uint32_t i = head; i != kInvalidEventSlot; i = slots_[i].next) {
+      GTRIX_CHECK_MSG(i < slots_.size(), "calendar chain link out of range");
+      GTRIX_CHECK_MSG(++linked <= live_, "calendar chains hold more entries than are live");
+      const Slot& slot = slots_[i];
+      GTRIX_CHECK_MSG(slot.live(), "calendar chain links a freed slot");
+      GTRIX_CHECK_MSG(i == head || slot.prev == last,
+                      "calendar chain prev link disagrees with its next link");
+      GTRIX_CHECK_MSG(last == kInvalidEventSlot || fires_before(last, i),
+                      "calendar chain not sorted ascending by (time, seq)");
+      GTRIX_CHECK_MSG(slot.epoch == epoch_of(slot.time),
                       "live calendar entry carries an epoch from an older width");
-      GTRIX_CHECK_MSG(bucket_of_epoch(entry.epoch) == b,
+      GTRIX_CHECK_MSG(bucket_of_epoch(slot.epoch) == b,
                       "live calendar entry sits in a bucket its epoch does not map to");
-      GTRIX_CHECK_MSG(entry.epoch >= cur_epoch_,
+      GTRIX_CHECK_MSG(slot.epoch >= cur_epoch_,
                       "live calendar entry hides behind the scan cursor");
+      last = i;
     }
+    GTRIX_CHECK_MSG(slots_[head].prev == last, "calendar chain head does not point at its tail");
   }
+  GTRIX_CHECK_MSG(linked == live_, "calendar chains and live count disagree");
 }
 
 }  // namespace gtrix

@@ -6,8 +6,9 @@
 //    interface: the engine calls target->on_timer(event) at fire time.
 //  * Event state lives in recycled slots. A freelist returns a slot the
 //    moment its event fires or is cancelled, so memory is O(pending events),
-//    not O(events ever executed). Cancellation is lazy (a cancelled entry is
-//    skimmed when a scan meets it), which keeps cancel() O(1).
+//    not O(events ever executed). The calendar unlinks a cancelled event
+//    from its bucket chain at once (O(1), the chains are doubly linked);
+//    the reference heap drops it lazily when it reaches the top.
 //  * Every slot carries a generation counter, bumped whenever the slot is
 //    freed. A TimerHandle is {slot, generation}; a handle whose generation
 //    no longer matches is stale, so cancelling an already-fired, already-
@@ -18,12 +19,12 @@
 //
 // Two interchangeable scheduler structures sit behind the one interface:
 //  * SchedulerKind::kCalendar (default) -- a calendar queue (Brown 1988):
-//    an array of time buckets of width ~ the mean gap between pending
-//    events. The simulation's bounded-delay event horizon (every event is
-//    scheduled at most ~Lambda + d past the cursor) keeps the calendar a
-//    single "year" wide in steady state, so schedule and pop are O(1)
-//    bucket operations instead of O(log n) heap sifts on pointer-cold
-//    array levels.
+//    an array of time buckets, each the head of an intrusive chain of
+//    slots, with the bucket width fitted to the densest run of pending
+//    events (the wave band d ahead of the cursor). The simulation's
+//    bounded-delay event horizon (every event is scheduled at most
+//    ~Lambda + d past the cursor) keeps schedule and pop O(1) chain
+//    operations instead of O(log n) heap sifts on pointer-cold array levels.
 //  * SchedulerKind::kBinaryHeap -- the pre-calendar binary-heap engine,
 //    kept as the bit-identity reference for bench_perf and the
 //    differential tests. Both structures pop the global (time, seq)
@@ -142,9 +143,9 @@ class EventQueue {
   /// by node code, which behaves identically under every scheduler kind and
   /// shard layout (telemetry's JSONL block relies on this).
   std::uint64_t cancelled_count() const noexcept { return cancelled_; }
-  /// Lazily-cancelled entries physically removed by scan skims and purge
-  /// rebuilds. Engine-SHAPED (scheduler- and traffic-pattern dependent):
-  /// summary telemetry only.
+  /// Lazily-cancelled heap entries dropped when they reach the top.
+  /// Engine-SHAPED (scheduler- and traffic-pattern dependent): summary
+  /// telemetry only. Always 0 under kCalendar, which unlinks on cancel().
   std::uint64_t purged_count() const noexcept { return purged_; }
   std::size_t pending_count() const noexcept { return live_; }
 
@@ -153,10 +154,15 @@ class EventQueue {
   std::size_t slot_capacity() const noexcept { return slots_.size(); }
 
   /// Calendar internals exposed read-only for tests: bucket count, current
-  /// bucket width, rebuild count. Meaningless under kBinaryHeap.
+  /// bucket width, rebuild count, the chain entries every schedule() so far
+  /// walked past to find its place (0 for an append at the chain tail), and
+  /// the number of entries linked into the chains. Meaningless under
+  /// kBinaryHeap.
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
+  std::uint64_t calendar_insert_steps() const noexcept { return insert_steps_; }
+  std::size_t calendar_linked_count() const noexcept;
 
   /// Checkpoint hooks (src/ckpt/state_ckpt.cpp). The snapshot preserves the
   /// exact slot table -- indices, generations, freelist order and the
@@ -169,20 +175,30 @@ class EventQueue {
   void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
 
  private:
+  /// A slot sits on one list through `next`: its calendar bucket chain
+  /// while its event is pending, the freelist once it is free.
   struct Slot {
-    EventPayload payload{};
-    TimerTarget* target = nullptr;
+    // Chain-walk fields first, so the neighbour an insert walk or an unlink
+    // visits is one 32-byte block.
     SimTime time = 0.0;
-    std::uint32_t kind = 0;
+    std::uint64_t seq = 0;  ///< schedule order; breaks same-time ties FIFO
+    long long epoch = 0;    ///< calendar only: epoch_of(time), cached at insert
+    /// A chain is sorted ascending by (time, seq); the head's prev is the
+    /// chain tail, the tail's next is invalid.
+    std::uint32_t prev = kInvalidEventSlot;
+    std::uint32_t next = kInvalidEventSlot;
     std::uint32_t gen = 0;  ///< bumped on every free; stale handles mismatch
-    std::uint32_t next_free = kInvalidEventSlot;
-    bool live = false;
+    std::uint32_t kind = 0;
+    TimerTarget* target = nullptr;  ///< null exactly while the slot is free
+    EventPayload payload{};
+
+    bool live() const noexcept { return target != nullptr; }
   };
 
+  /// kBinaryHeap entry. The calendar links slots directly instead.
   struct QueueEntry {
     SimTime time;
-    std::uint64_t seq;  ///< schedule order; breaks same-time ties FIFO
-    long long epoch;    ///< calendar only: epoch_of(time), cached at insert
+    std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
     // priority_queue is a max-heap by default; invert the comparison.
@@ -194,18 +210,24 @@ class EventQueue {
 
   /// Lexicographic (time, seq) order -- the one total event order both
   /// scheduler kinds realize.
-  static bool fires_before(const QueueEntry& a, const QueueEntry& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  bool fires_before(std::uint32_t a, std::uint32_t b) const noexcept {
+    const Slot& sa = slots_[a];
+    const Slot& sb = slots_[b];
+    if (sa.time != sb.time) return sa.time < sb.time;
+    return sa.seq < sb.seq;
   }
 
   bool stale(const QueueEntry& entry) const noexcept {
     const Slot& s = slots_[entry.slot];
-    return !s.live || s.gen != entry.gen;
+    return !s.live() || s.gen != entry.gen;
   }
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  /// Locates the next event (heap skim / calendar peek); requires live_ > 0.
+  SimTime peek_time() const;
+  /// Pops the event peek_time() located and dispatches it.
+  void dispatch_min(SimTime& fired);
 
   // --- binary-heap engine ---------------------------------------------------
   /// Drops cancelled (stale) entries from the top of the heap.
@@ -213,43 +235,52 @@ class EventQueue {
 
   // --- calendar engine ------------------------------------------------------
   /// Epoch = which width_-sized time window a timestamp falls in. Exact
-  /// integer bookkeeping (no accumulated float boundaries): an entry lives
-  /// in bucket epoch mod nbuckets and belongs to the cursor's window iff
-  /// its epoch equals the scan epoch.
+  /// integer bookkeeping (no accumulated float boundaries): a slot lives in
+  /// the chain of bucket epoch mod nbuckets and belongs to the cursor's
+  /// window iff its epoch equals the scan epoch.
   ///
-  /// EPOCH FRESHNESS INVARIANT: a QueueEntry's cached epoch is only
-  /// meaningful under the width_ in force when it was bucketed, so
-  ///  (a) calendar_insert stamps entry.epoch AFTER its possible
-  ///      grow-rebuild, never before (a rebuild refits width_, and an epoch
-  ///      computed under the old width would bucket the entry into a year
-  ///      the scan never visits or visits too early), and
-  ///  (b) calendar_rebuild re-stamps every surviving entry's epoch under
-  ///      the new width as it redistributes them.
+  /// EPOCH FRESHNESS INVARIANT: a slot's cached epoch is only meaningful
+  /// under the width_ in force when it was linked, so
+  ///  (a) calendar_insert stamps slot.epoch AFTER its possible grow-rebuild,
+  ///      never before (a rebuild refits width_, and an epoch computed under
+  ///      the old width would bucket the event into a year the scan never
+  ///      visits or visits too early), and
+  ///  (b) calendar_rebuild re-stamps every linked slot's epoch under the new
+  ///      width as it redistributes them.
   /// Together with the cursor rule -- an insert with epoch < cur_epoch_
   /// pulls the cursor back to it -- this keeps behind-cursor inserts
-  /// immediately after a lazy-cancel purge rebuild correct: the insert is
-  /// bucketed and cursored under the post-purge width, so the year scan
-  /// meets it first. tests/test_calendar_queue.cpp pins this with a
-  /// directed purge -> behind-cursor-insert regression and a purge/resize
-  /// differential fuzz against the binary heap at the >= 64k-pending
-  /// scale-grid population.
+  /// immediately after a rebuild correct: the insert is bucketed and
+  /// cursored under the post-rebuild width, so the year scan meets it first.
+  /// tests/test_calendar_queue.cpp pins this with a directed rebuild ->
+  /// behind-cursor-insert regression and a resize differential fuzz against
+  /// the binary heap at the >= 64k-pending scale-grid population.
   long long epoch_of(SimTime t) const noexcept;
   std::size_t bucket_of_epoch(long long epoch) const noexcept;
-  void calendar_insert(const QueueEntry& entry);
-  /// Locates the (time, seq)-minimum live entry, caching it in peek_.
-  /// Returns false when no live entry exists.
+  /// Stamps slot `index`'s epoch, links it and moves the cursor / peek.
+  void calendar_insert(std::uint32_t index);
+  /// Links slot `index` into the chain its epoch maps to, walking back from
+  /// the tail to its (time, seq) place.
+  void calendar_link(std::uint32_t index);
+  /// Unlinks slot `index` from its bucket chain.
+  void calendar_unlink(std::uint32_t index);
+  /// Locates the (time, seq)-minimum event, caching its slot in peek_.
+  /// Returns false when the calendar is empty.
   bool calendar_find_min() const;
-  /// Full scan fallback for sparse calendars: min over every bucket.
+  /// Full scan fallback for sparse calendars: min over every chain head.
   bool calendar_global_min() const;
-  void calendar_pop_peeked();
-  /// Rebuilds the calendar with a bucket count / width fitted to the
-  /// current live population. Also drops all stale entries.
+  /// Rebuilds with a bucket count / width fitted to the linked population.
   void calendar_rebuild(std::size_t min_buckets);
-  std::size_t calendar_live() const noexcept { return entry_count_ - dead_; }
-  /// GTRIX_DEBUG_CHECKS walk of the EPOCH FRESHNESS INVARIANT above: every
-  /// live entry's cached epoch matches epoch_of(time) under the current
-  /// width, sits in the bucket its epoch maps to, and none is behind the
-  /// cursor. O(pending), so only the debug-assertion builds call it.
+  /// The second half of a rebuild: relinks exactly the slots listed in
+  /// rebuild_scratch_ (a checkpoint restore lists them directly).
+  void calendar_refit(std::size_t min_buckets);
+  /// Shrinks the calendar once the population undershoots it 8x.
+  void calendar_maybe_shrink();
+  /// GTRIX_DEBUG_CHECKS walk of the chains: each is sorted ascending by
+  /// (time, seq) with consistent prev/next and head/tail links; every linked
+  /// slot is live, carries the epoch epoch_of(time) under the current width,
+  /// sits in the chain its epoch maps to and is not behind the cursor; and
+  /// the linked count equals live_. O(pending), so only the debug-assertion
+  /// builds call it.
   void calendar_verify_epochs() const;
 
   SchedulerKind kind_;
@@ -260,34 +291,32 @@ class EventQueue {
   std::uint64_t scheduled_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  /// mutable: the skims that remove stale entries run inside const peeks
-  /// (same reason the structures below are mutable).
+  /// mutable: the heap skim that drops stale entries runs inside const peeks.
   mutable std::uint64_t purged_ = 0;
   std::size_t live_ = 0;
 
   // kBinaryHeap state. mutable: next_time()/empty() skim lazily.
   mutable std::priority_queue<QueueEntry> heap_;
 
-  // kCalendar state. mutable for the same reason: locating the minimum from
-  // const peeks skims stale entries and advances the cursor.
-  mutable std::vector<std::vector<QueueEntry>> buckets_;
+  // kCalendar state.
+  std::vector<std::uint32_t> buckets_;  ///< chain head slot per bucket
   double width_ = 1.0;
   double inv_width_ = 1.0;        ///< 1 / width_; epochs use the multiply form
   std::size_t bucket_mask_ = 0;   ///< buckets_.size() - 1 (power of two)
-  mutable std::size_t entry_count_ = 0;  ///< bucket entries incl. stale
-  mutable std::size_t dead_ = 0;         ///< stale entries not yet skimmed
-  /// Scan cursor: no live entry has an epoch below this (inserts behind the
+  /// Scan cursor: no linked slot has an epoch below this (inserts behind the
   /// cursor pull it back), so the year scan meets the global minimum first.
+  /// mutable: locating the minimum from const peeks advances it.
   mutable long long cur_epoch_ = 0;
-
-  struct PeekRef {
-    std::size_t bucket = 0;
-    std::size_t index = 0;
-    bool valid = false;
-  };
-  mutable PeekRef peek_;
+  /// Slot of the located minimum, or kInvalidEventSlot when not located.
+  mutable std::uint32_t peek_ = kInvalidEventSlot;
   std::uint64_t rebuilds_ = 0;
-  std::vector<QueueEntry> rebuild_scratch_;  ///< reused across rebuilds
+  std::uint64_t insert_steps_ = 0;
+  struct RebuildKey {
+    SimTime time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  std::vector<RebuildKey> rebuild_scratch_;  ///< reused across rebuilds
 };
 
 }  // namespace gtrix

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -115,6 +118,27 @@ TEST(CalendarQueue, SparseFarFutureEventsAreFound) {
   EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{1, 2, 3}));
 }
 
+TEST(CalendarQueue, FarFutureEventsAfterATightFitKeepTheirOrder) {
+  // A population clustered within 1e-9 fits the width down to its clamp;
+  // epochs of events scheduled afterwards far beyond it would overflow the
+  // integer range unless the epoch mapping saturates.
+  EventQueue q(SchedulerKind::kCalendar);
+  EventLog log;
+  for (int i = 0; i < 40; ++i) q.schedule(5.0 + i * 1e-11, &log, 0, EventPayload{.i = 0});
+  EXPECT_GT(q.calendar_rebuilds(), 0u);
+  q.schedule(2e300, &log, 0, EventPayload{.i = 4});
+  q.schedule(1e9, &log, 0, EventPayload{.i = 2});
+  q.schedule(-1e300, &log, 0, EventPayload{.i = -1});
+  q.schedule(1e300, &log, 0, EventPayload{.i = 3});
+  q.schedule(1e9, &log, 0, EventPayload{.i = 2});
+  while (q.run_next()) {
+  }
+  std::vector<std::int64_t> expected{-1};
+  expected.insert(expected.end(), 40, 0);
+  expected.insert(expected.end(), {2, 2, 3, 4});
+  EXPECT_EQ(log.tags(), expected);
+}
+
 TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
   EventQueue q(SchedulerKind::kCalendar);
   EventLog log;
@@ -126,14 +150,15 @@ TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
   const std::size_t baseline_capacity = q.slot_capacity();
   for (int round = 0; round < 10000; ++round) {
     EXPECT_TRUE(q.cancel(live[static_cast<std::size_t>(round % kLive)]));
+    // cancel() unlinks at once: the chains never hold a cancelled entry.
+    EXPECT_EQ(q.calendar_linked_count(), q.pending_count());
     live[static_cast<std::size_t>(round % kLive)] = q.schedule(1e9 + round, &log, 0);
     EXPECT_EQ(q.pending_count(), static_cast<std::size_t>(kLive));
   }
   EXPECT_EQ(q.slot_capacity(), baseline_capacity);
-  // The cancelled bulk must be purged, not accumulated: a rebuild pass
-  // keeps the calendar O(pending), and the bucket count tracks the tiny
-  // live population instead of the 10008 events ever scheduled.
-  EXPECT_GT(q.calendar_rebuilds(), 0u);
+  // Nothing cancelled is left behind to purge, and the bucket count tracks
+  // the tiny live population instead of the 10008 events ever scheduled.
+  EXPECT_EQ(q.purged_count(), 0u);
   EXPECT_LE(q.calendar_buckets(), 64u);
   while (q.run_next()) {
   }
@@ -154,6 +179,118 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
   while (q.run_next()) {
   }
   EXPECT_LT(q.calendar_buckets(), grown);  // shrank as the queue drained
+}
+
+/// The pending population of a layered-grid run, shaped like a rebuild-time
+/// trace of the stabilization benchmark: most events are the next layer's
+/// messages, about d = 1000 ahead and spread over u plus the local skew
+/// (~23 units), the rest spread over the following d, with runs of
+/// same-instant ties. A bucket width fitted to the whole span packs the band
+/// into a few dozen long chains; the densest-run width must keep the insert
+/// walk short. Cancels hit chain heads (the peeked minimum), chain tails
+/// (the latest event) and tie-run heads, middles and tails, and dispatch
+/// must match the binary heap exactly.
+TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
+  constexpr double kD = 1000.0;
+  constexpr double kBand = 23.0;
+  EventQueue cal(SchedulerKind::kCalendar);
+  EventQueue heap(SchedulerKind::kBinaryHeap);
+  EventLog cal_log;
+  EventLog heap_log;
+
+  const auto drive = [](EventQueue& q, EventLog& log) {
+    Rng rng(15);
+    std::vector<TimerHandle> handle_of;  // by tag
+    std::vector<double> time_of;         // by tag
+    // (time, tag) is the (time, seq) order: tags follow scheduling order.
+    std::set<std::pair<double, std::int64_t>> pending;
+    std::vector<std::vector<std::int64_t>> tie_runs;
+    const auto add = [&](double t) {
+      const auto tag = static_cast<std::int64_t>(handle_of.size());
+      handle_of.push_back(q.schedule(t, &log, 0, EventPayload{.i = tag}));
+      time_of.push_back(t);
+      pending.emplace(t, tag);
+      return tag;
+    };
+    const auto add_tie_run = [&](double t, int length) {
+      std::vector<std::int64_t>& run = tie_runs.emplace_back();
+      for (int k = 0; k < length; ++k) run.push_back(add(t));
+    };
+    const auto drop = [&](std::int64_t tag) {
+      const auto it = pending.find({time_of[static_cast<std::size_t>(tag)], tag});
+      if (it == pending.end()) return;
+      EXPECT_TRUE(q.cancel(handle_of[static_cast<std::size_t>(tag)]));
+      pending.erase(it);
+      if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+        EXPECT_EQ(q.calendar_linked_count(), q.pending_count());
+      }
+    };
+
+    // The band population at one instant.
+    while (pending.size() < 4096) {
+      if (rng.bernoulli(0.05)) {
+        add_tie_run(kD + rng.uniform(0.0, kBand), static_cast<int>(rng.uniform_int(2, 8)));
+      } else if (rng.bernoulli(0.8)) {
+        add(kD + rng.uniform(0.0, kBand));
+      } else {
+        add(kD + kBand + rng.uniform(0.0, kD));
+      }
+    }
+    if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+      EXPECT_LE(static_cast<double>(q.calendar_insert_steps()) /
+                    static_cast<double>(q.scheduled_count()),
+                4.0);
+    }
+
+    // Waves in flight: every pop schedules its successor one delay later,
+    // sometimes as a tie run, while cancels hit every chain position.
+    for (int op = 0; op < 20000 && !pending.empty(); ++op) {
+      const double now = q.next_time();  // locates (peeks) the minimum
+      if (op % 7 == 0) {
+        drop(pending.begin()->second);  // the peeked entry, a chain head
+        continue;
+      }
+      if (op % 11 == 0) {
+        drop(std::prev(pending.end())->second);  // the latest event, a chain tail
+        continue;
+      }
+      if (op % 13 == 0 && !tie_runs.empty()) {
+        const std::vector<std::int64_t>& run = tie_runs[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(tie_runs.size()) - 1))];
+        const std::size_t at = (op / 13) % 3 == 0   ? 0
+                               : (op / 13) % 3 == 1 ? run.size() / 2
+                                                    : run.size() - 1;
+        drop(run[at]);
+        continue;
+      }
+      ASSERT_TRUE(q.run_next());
+      ASSERT_EQ(log.events.back().payload.i, pending.begin()->second);
+      ASSERT_EQ(log.events.back().time, now);
+      pending.erase(pending.begin());
+      const double next = now + kD - rng.uniform(0.0, 10.0);
+      if (rng.bernoulli(0.05)) {
+        add_tie_run(next, static_cast<int>(rng.uniform_int(2, 8)));
+      } else {
+        add(next);
+      }
+    }
+    if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+      EXPECT_LE(static_cast<double>(q.calendar_insert_steps()) /
+                    static_cast<double>(q.scheduled_count()),
+                4.0);
+    }
+    while (q.run_next()) {
+    }
+  };
+
+  drive(cal, cal_log);
+  drive(heap, heap_log);
+  EXPECT_EQ(cal.purged_count(), 0u);
+  ASSERT_EQ(cal_log.events.size(), heap_log.events.size());
+  for (std::size_t i = 0; i < cal_log.events.size(); ++i) {
+    ASSERT_EQ(cal_log.events[i].time, heap_log.events[i].time) << "at " << i;
+    ASSERT_EQ(cal_log.events[i].payload.i, heap_log.events[i].payload.i) << "at " << i;
+  }
 }
 
 /// Differential fuzz: a random interleaving of schedule / cancel / pop must
@@ -201,12 +338,12 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
   }
 }
 
-/// Directed regression for the behind-cursor-after-purge interaction at the
-/// scale-grid population regime: a lazy-cancel purge rebuild refits the
-/// bucket width and re-anchors the scan cursor, and an insert landing
-/// BEHIND the re-anchored cursor must (a) recompute its epoch under the new
-/// width -- calendar_insert stamps entry.epoch after any rebuild, never
-/// before -- and (b) pull the cursor back so it fires first. A stale cached
+/// Directed regression for the behind-cursor-after-rebuild interaction at
+/// the scale-grid population regime: a rebuild tripped by mass cancellation
+/// refits the bucket width and re-anchors the scan cursor, and an insert
+/// landing BEHIND the re-anchored cursor must (a) recompute its epoch under
+/// the new width -- calendar_insert stamps slot.epoch after any rebuild,
+/// never before -- and (b) pull the cursor back so it fires first. A stale cached
 /// epoch would either bury the event in a wrong-year bucket (skipped by the
 /// year scan) or fire it out of order; both would break the differential
 /// identity below.
@@ -234,16 +371,15 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
         now = q.next_time();
         q.run_next();
       }
-      // Phase 3: cancel ~70% of what's pending -- crosses the dead > live
-      // purge threshold repeatedly, so at least one lazy-cancel purge
-      // rebuild refits width and cursor while the population is large.
+      // Phase 3: cancel ~90% of what's pending -- drops the population
+      // below an eighth of the bucket count, so a shrink rebuild refits
+      // width and cursor while the population is still large.
       for (std::size_t i = 0; i < handles.size(); ++i) {
-        if (rng.bernoulli(0.7)) q.cancel(handles[i]);
+        if (rng.bernoulli(0.9)) q.cancel(handles[i]);
       }
       // Phase 4: immediately insert behind the cursor (before `now`), at
       // the cursor's own time (tie with pending events), and far ahead
-      // (next year), interleaved with pops and further purge-triggering
-      // cancels, then drain.
+      // (next year), interleaved with pops and further cancels, then drain.
       std::vector<TimerHandle> extra;
       for (int round = 0; round < 200; ++round) {
         extra.push_back(q.schedule(now * rng.uniform(0.0, 0.99), &log, 0,
@@ -275,8 +411,8 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
 }
 
 /// The randomized differential above at the mega-grid population: ramp to
-/// >= 64k pending, then churn schedule / cancel-bulk / pop so purge and
-/// fit-to-population rebuilds interleave with behind-cursor scheduling.
+/// >= 64k pending, then churn schedule / cancel-bulk / pop so bulk unlinks
+/// and fit-to-population rebuilds interleave with behind-cursor scheduling.
 TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
   for (const std::uint64_t seed : {5ULL, 2024ULL}) {
     EventQueue cal(SchedulerKind::kCalendar);
@@ -302,8 +438,8 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
           if (rng.bernoulli(0.3)) t = std::floor(t);
           handles.push_back(q.schedule(t, &log, 0, EventPayload{.i = tag++}));
         } else if (dice < 0.40 && !handles.empty()) {
-          // Bulk cancel: 512 at a time drives dead_ across the purge
-          // threshold mid-churn instead of one-at-a-time nibbling.
+          // Bulk cancel: 512 unlinks at a time mid-churn instead of
+          // one-at-a-time nibbling.
           for (int k = 0; k < 512; ++k) {
             q.cancel(handles[static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1))]);
@@ -331,15 +467,16 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
   }
 }
 
-/// Windowed pops under purge/resize churn: the sharded driver pops each
+/// Windowed pops under cancel/resize churn: the sharded driver pops each
 /// shard's queue in [gmin, horizon) windows via run_next_strictly_before, so
 /// the calendar engine must agree with the heap when window boundaries
-/// interleave with behind-cursor inserts and purge rebuilds. In a
-/// -DGTRIX_DEBUG_CHECKS build (the sanitizer CI jobs), every insert, pop and
-/// rebuild in this churn additionally runs the epoch-freshness assertions in
-/// event_queue.cpp -- entry.epoch must match epoch_of(entry.time) under the
-/// CURRENT bucket width -- turning a silently-buried event into a hard
-/// failure at the exact operation that staled it.
+/// interleave with behind-cursor inserts and rebuilds. In a
+/// -DGTRIX_DEBUG_CHECKS build (the sanitizer CI jobs), every pop, rebuild
+/// and behind-cursor insert in this churn additionally runs the chain and
+/// epoch-freshness assertions in event_queue.cpp -- slot.epoch must match
+/// epoch_of(slot.time) under the CURRENT bucket width -- turning a
+/// silently-buried event into a hard failure at the exact operation that
+/// staled it.
 TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
   for (const std::uint64_t seed : {11ULL, 4242ULL}) {
     EventQueue cal(SchedulerKind::kCalendar);
@@ -364,7 +501,7 @@ TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
           ASSERT_LT(fired, horizon);
         }
         // Cross-window churn: new events behind and ahead of the horizon
-        // plus bulk cancels that trip purge rebuilds mid-sequence.
+        // plus bulk cancels mid-sequence.
         for (int i = 0; i < 40; ++i) {
           handles.push_back(q.schedule(horizon + rng.uniform(0.0, 2000.0), &log, 0,
                                        EventPayload{.i = tag++}));
