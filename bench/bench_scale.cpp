@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/host.hpp"
 #include "obs/rss.hpp"
 #include "registry/recording.hpp"
 #include "runner/campaign.hpp"
@@ -375,6 +376,7 @@ int run(int argc, char** argv) {
   report.set("bench", std::string("bench_scale"));
   report.set("scenario", scenario_name);
   report.set("quick", quick);
+  report.set("host", host_fingerprint());
   Json shape = Json::object();
   shape.set("columns", config.columns);
   shape.set("layers", config.layers);

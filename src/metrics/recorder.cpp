@@ -195,6 +195,29 @@ std::optional<SimTime> Recorder::pulse_time(RecNodeId node, Sigma sigma) const {
   return std::nullopt;
 }
 
+void Recorder::pulse_times(RecNodeId node, Sigma first, std::size_t count, double* out,
+                           std::size_t stride) const {
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i * stride] = std::numeric_limits<double>::quiet_NaN();
+  }
+  if (node >= logs_.size() || count == 0) return;
+  const NodeLog& log = logs_[node];
+  const Sigma last = first + static_cast<Sigma>(count) - 1;
+  const auto copy = [&](Sigma base, const std::vector<SimTime>& times) {
+    if (base == kInvalidSigma) return;
+    const Sigma from = std::max(first, base);
+    const Sigma to = std::min(last, base + static_cast<Sigma>(times.size()) - 1);
+    for (Sigma s = from; s <= to; ++s) {
+      const double t = times[static_cast<std::size_t>(s - base)];
+      if (!std::isnan(t)) out[static_cast<std::size_t>(s - first) * stride] = t;
+    }
+  };
+  // The pinned box first, then the rolling window over it: where both hold
+  // a wave the rolling value wins, as in pulse_time.
+  copy(log.pin_first, log.pin_times);
+  copy(log.first_sigma, log.times);
+}
+
 const std::vector<IterationRecord>& Recorder::iterations(RecNodeId node) const {
   return logs_.at(node).iterations;
 }

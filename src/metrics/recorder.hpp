@@ -175,6 +175,13 @@ class Recorder {
   /// Pulse time of `node` at wave `sigma`, if recorded.
   std::optional<SimTime> pulse_time(RecNodeId node, Sigma sigma) const;
 
+  /// Bulk pulse_time: writes the pulse times of `node` at waves
+  /// [first, first + count) to out[0], out[stride], ..., NaN where
+  /// pulse_time would return nullopt (same precedence: the rolling window
+  /// over the pinned corruption box).
+  void pulse_times(RecNodeId node, Sigma first, std::size_t count, double* out,
+                   std::size_t stride) const;
+
   /// Wave of the (warmup_pulses + 1)-th recorded pulse of `node`
   /// (kInvalidSigma if the node recorded fewer pulses). Used to skip each
   /// node's startup transient, which spans different waves per node.

@@ -29,10 +29,10 @@ void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards)
     if (best->is_pulse) {
       sink.record_pulse(best->node, best->sigma, best->t);
     } else {
-      sink.record_iteration(best->node, best->iteration);
+      sink.record_iteration(best->node, shards[best_shard]->iteration(*best));
     }
   }
-  for (ShardRecorder* shard : shards) shard->buffer().clear();
+  for (ShardRecorder* shard : shards) shard->clear();
 }
 
 }  // namespace gtrix

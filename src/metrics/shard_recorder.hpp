@@ -29,28 +29,43 @@ class ShardRecorder final : public Recorder {
  public:
   /// `sim` is the owning shard's simulator; entries are stamped with its
   /// now() at record time, which is the event time being executed.
-  explicit ShardRecorder(const Simulator* sim) : sim_(sim) {}
+  /// `keep_iterations` says whether the sink retains iteration records
+  /// (every recording mode but streaming); when it does not, they are
+  /// dropped here instead of buffered.
+  ShardRecorder(const Simulator* sim, bool keep_iterations)
+      : sim_(sim), keep_iterations_(keep_iterations) {}
 
+  /// One buffered record: a pulse, or an iteration whose record waits in
+  /// the side buffer (iteration()).
   struct Entry {
     SimTime when = 0.0;  ///< shard-local now() at record time: the merge key
     RecNodeId node = 0;
     bool is_pulse = false;
-    // Pulse payload (is_pulse).
-    Sigma sigma = 0;
-    SimTime t = 0.0;
-    // Iteration payload (!is_pulse).
-    IterationRecord iteration;
+    Sigma sigma = 0;     ///< the pulse's wave, or the iteration's side-buffer index
+    SimTime t = 0.0;     ///< the pulse's time
   };
+  static_assert(sizeof(Entry) <= 32, "shard trace entries stay small");
 
   void record_pulse(RecNodeId node, Sigma sigma, SimTime t) override {
-    buffer_.push_back(Entry{sim_->now(), node, true, sigma, t, {}});
+    buffer_.push_back(Entry{sim_->now(), node, true, sigma, t});
   }
 
   void record_iteration(RecNodeId node, const IterationRecord& record) override {
-    buffer_.push_back(Entry{sim_->now(), node, false, 0, 0.0, record});
+    if (!keep_iterations_) return;
+    buffer_.push_back(
+        Entry{sim_->now(), node, false, static_cast<Sigma>(iterations_.size()), 0.0});
+    iterations_.push_back(record);
   }
 
   std::vector<Entry>& buffer() noexcept { return buffer_; }
+  const IterationRecord& iteration(const Entry& entry) const {
+    return iterations_[static_cast<std::size_t>(entry.sigma)];
+  }
+  /// Empties the window's buffers (after the merge).
+  void clear() noexcept {
+    buffer_.clear();
+    iterations_.clear();
+  }
 
   /// Puts the buffer into (when, node) order, stably (each node's own
   /// generation order survives). Called by the OWNING WORKER at the end of
@@ -73,7 +88,9 @@ class ShardRecorder final : public Recorder {
 
  private:
   const Simulator* sim_;
+  bool keep_iterations_;
   std::vector<Entry> buffer_;
+  std::vector<IterationRecord> iterations_;
 };
 
 /// Replays every shard buffer into `sink` in global (time, node) order and

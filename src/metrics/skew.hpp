@@ -27,8 +27,9 @@ struct GridTrace {
   /// under Appendix-A line input), so the filter is per node, not global.
   Sigma node_warmup = 3;
   Sigma node_tail = 1;
-  /// Memoize per-node steady windows inside the metric computations; false
-  /// reproduces the pre-refactor per-query log scans (EngineOptions).
+  /// Read each node's steady window once and copy its pulse times in bulk
+  /// (Recorder::pulse_times); false reads every (node, wave) through
+  /// steady_pulse's per-query log scans instead (EngineOptions).
   bool cached_metrics = true;
 
   RecNodeId rec_id(GridNodeId g) const { return node_ids.at(g); }
@@ -40,11 +41,11 @@ struct GridTrace {
 };
 
 /// Distribution summary of the per-pair deviations |t_a - t_b| behind the
-/// extrema above. Full-trace recording computes the quantiles exactly from
-/// the complete sample set (`exact` = true); streaming recording estimates
-/// them with a log-binned sketch in O(1) memory (`exact` = false, 1%
-/// relative error bound -- docs/scaling.md). Counts and the mean are exact
-/// in both modes.
+/// extrema above. Post-run measurement (compute_skew) computes the
+/// quantiles exactly by radix selection over re-swept pairs, without
+/// storing them (`exact` = true); streaming recording estimates them with a
+/// log-binned sketch in O(1) memory (`exact` = false, 1% relative error
+/// bound -- docs/scaling.md). Counts and the mean are exact in both modes.
 struct DeviationStats {
   std::uint64_t count = 0;
   double mean = 0.0;

@@ -170,7 +170,8 @@ void World::init_shards() {
   shard_sims_.push_back(&sim_);
   for (const auto& sim : extra_sims_) shard_sims_.push_back(sim.get());
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
-    shard_recorders_.push_back(std::make_unique<ShardRecorder>(shard_sims_[s]));
+    shard_recorders_.push_back(std::make_unique<ShardRecorder>(
+        shard_sims_[s], recording_.mode != RecordingMode::kStreaming));
     shard_recorder_ptrs_.push_back(shard_recorders_.back().get());
   }
 }

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <limits>
 
+#include "obs/host.hpp"
 #include "runner/ckpt_runner.hpp"
 #include "support/check.hpp"
 
@@ -351,6 +352,7 @@ PerfScenarioReport check_perf_identity(const Scenario& scenario) {
 Json perf_report_json(const std::vector<PerfScenarioReport>& reports) {
   Json doc = Json::object();
   doc.set("bench", std::string("bench_perf"));
+  doc.set("host", host_fingerprint());
   Json scenarios = Json::array();
   bool all_identical = true;
   for (const PerfScenarioReport& report : reports) {

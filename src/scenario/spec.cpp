@@ -156,6 +156,9 @@ struct ConfigDraft {
   bool dotted_algorithm = false;
   bool dotted_recording = false;
   bool params_explicit = false;  ///< an explicit d/u/theta/lambda was given
+  /// Path of the last explicit d or u value: the key blamed when the pair
+  /// breaks 0 <= u < d.
+  std::string delay_bound_path;
   std::optional<ParamsDerive> derive;
   std::optional<Layer0Pattern> layer0_pattern;
   std::optional<RandomFaultGen> random_faults;
@@ -243,8 +246,12 @@ void apply_params_key(ConfigDraft& draft, const std::string& key, const Json& va
   draft.params_explicit = true;
   if (key == "d") {
     draft.config.params.d = read_double(value, path);
+    if (!(draft.config.params.d > 0.0)) fail(path, "the maximum delay d must be positive");
+    draft.delay_bound_path = path;
   } else if (key == "u") {
     draft.config.params.u = read_double(value, path);
+    if (!(draft.config.params.u >= 0.0)) fail(path, "the delay uncertainty u must be >= 0");
+    draft.delay_bound_path = path;
   } else if (key == "theta") {
     draft.config.params.theta = read_double(value, path);
   } else if (key == "lambda") {
@@ -446,6 +453,7 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
       draft.layers_track_columns = true;
     } else {
       c.layers = read_u32(value, path);
+      if (c.layers < 2) fail(path, "need at least 2 layers (layer 0 and one algorithm layer)");
       draft.layers_track_columns = false;
     }
   } else if (key == "params") {
@@ -604,6 +612,14 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
     const BaseGraph base = make_base_graph(c);
     c.params = Params::derive_for(base.diameter(), draft.derive->u, draft.derive->theta,
                                   draft.derive->safety);
+  }
+  // d and u may come from different keys (or sweep axes), so their order is
+  // checked on the resolved cell.
+  if (!(c.params.u < c.params.d)) {
+    throw JsonError(context + ": " +
+                    (draft.delay_bound_path.empty() ? "params" : draft.delay_bound_path) +
+                    ": need the delay uncertainty u below the maximum delay d (u = " +
+                    Json(c.params.u).dump() + ", d = " + Json(c.params.d).dump() + ")");
   }
 
   if (draft.layer0_pattern && draft.layer0_pattern->amplitude != 0.0) {

@@ -12,7 +12,7 @@ namespace {
 bool parse_bool_value(const std::string& v) {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("invalid boolean flag value: " + v);
+  throw FlagError("invalid boolean flag value: " + v);
 }
 
 }  // namespace
@@ -28,7 +28,7 @@ Flags::Flags(int argc, const char* const* argv,
   };
   const auto set = [this](std::string name, std::string value) {
     if (values_.contains(name)) {
-      throw std::invalid_argument("duplicate flag --" + name);
+      throw FlagError("duplicate flag --" + name);
     }
     values_[std::move(name)] = std::move(value);
   };
@@ -48,7 +48,7 @@ Flags::Flags(int argc, const char* const* argv,
     const auto eq = arg.find('=');
     if (eq != std::string_view::npos) {
       std::string name(arg.substr(0, eq));
-      if (name.empty()) throw std::invalid_argument("flag with empty name");
+      if (name.empty()) throw FlagError("flag with empty name");
       set(std::move(name), std::string(arg.substr(eq + 1)));
       continue;
     }
@@ -95,7 +95,7 @@ T parse_number(std::string_view name, const std::string& v) {
   T value{};
   const auto res = std::from_chars(v.data(), v.data() + v.size(), value);
   if (res.ec != std::errc() || res.ptr != v.data() + v.size()) {
-    throw std::invalid_argument("invalid numeric value for --" + std::string(name) +
+    throw FlagError("invalid numeric value for --" + std::string(name) +
                                 ": '" + v + "'");
   }
   return value;

@@ -8,16 +8,25 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace gtrix {
 
+/// A malformed command line: bad syntax, a duplicate flag, or a value that
+/// does not parse as the number or boolean asked for. CLIs map it to the
+/// usage-error exit status 2.
+class FlagError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
 class Flags {
  public:
   /// Parses argv; unknown positional arguments are collected separately.
-  /// Throws std::invalid_argument on malformed input (e.g. "--=x") and on
+  /// Throws FlagError on malformed input (e.g. "--=x") and on
   /// duplicate flags ("--k=1 --k=2").
   ///
   /// `boolean_flags` names flags that never take a value: "--dry-run x"

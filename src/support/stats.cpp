@@ -5,6 +5,8 @@
 #include <limits>
 #include <sstream>
 
+#include "support/check.hpp"
+
 namespace gtrix {
 
 void Summary::add(double x) noexcept {
@@ -214,6 +216,144 @@ double LogQuantileSketch::quantile(double q) const noexcept {
 
 std::uint64_t LogQuantileSketch::memory_bytes() const noexcept {
   return counts_.size() * sizeof(std::uint64_t) + sizeof(*this);
+}
+
+RadixQuantiles::RadixQuantiles(std::vector<double> qs) : qs_(std::move(qs)), prefixes_{0} {
+  gathered_.reserve(kGatherCap);  // address space only until samples arrive
+}
+
+void RadixQuantiles::spill() {
+  top_.assign(std::size_t{1} << 16, 0);
+  for (const double x : gathered_) ++top_[std::bit_cast<std::uint64_t>(x) >> 48];
+  gathered_ = {};
+}
+
+bool RadixQuantiles::next_pass() {
+  GTRIX_CHECK_MSG(!done_, "RadixQuantiles: every pass is already done");
+  if (pass_ == 0) {
+    if (count_ == 0) {
+      done_ = true;
+      return false;
+    }
+    // The type-7 brackets of each quantile, ascending and distinct (the
+    // digit walks below rely on the order).
+    for (const double q : qs_) {
+      const double pos = q * static_cast<double>(count_ - 1);
+      const auto lo = static_cast<std::uint64_t>(pos);
+      for (const std::uint64_t rank : {lo, std::min(lo + 1, count_ - 1)}) {
+        ranks_.push_back({rank, rank, 0, count_, 0});
+      }
+    }
+    std::sort(ranks_.begin(), ranks_.end(),
+              [](const Rank& a, const Rank& b) { return a.global < b.global; });
+    ranks_.erase(std::unique(ranks_.begin(), ranks_.end(),
+                             [](const Rank& a, const Rank& b) { return a.global == b.global; }),
+                 ranks_.end());
+  }
+  // A first pass that kept every sample, or a gather pass, ends the search.
+  if (gather_ || count_ <= kGatherCap) {
+    select_gathered();
+    return false;
+  }
+  resolve_digits();
+  if (pass_ == 4) {
+    done_ = true;
+    return false;
+  }
+  prefixes_.clear();
+  std::uint64_t population = 0;
+  for (Rank& r : ranks_) {
+    const auto it = std::find(prefixes_.begin(), prefixes_.end(), r.prefix);
+    r.group = static_cast<std::size_t>(it - prefixes_.begin());
+    if (it == prefixes_.end()) {
+      GTRIX_CHECK_MSG(r.bucket <= std::numeric_limits<std::uint32_t>::max(),
+                      "RadixQuantiles: more than 2^32 samples under one 16-bit prefix");
+      prefixes_.push_back(r.prefix);
+      population += r.bucket;
+    }
+  }
+  gather_ = population <= kGatherCap;
+  top_ = {};  // released before the next histograms are touched
+  counts_ = {};
+  if (gather_) {
+    gathered_.reserve(population);
+  } else {
+    counts_.resize(prefixes_.size() << 16, 0);
+  }
+  return true;
+}
+
+void RadixQuantiles::resolve_digits() {
+  // This pass's 16-bit digit of every rank: the bucket of its prefix's
+  // histogram that holds the rank, which becomes a rank inside that
+  // bucket. A prefix's ranks ascend, so one walk per histogram does.
+  const auto walk = [&](std::size_t group, const auto* hist) {
+    std::uint64_t digit = 0;
+    std::uint64_t below = 0;  // samples in the buckets before `digit`
+    for (Rank& r : ranks_) {
+      if (r.group != group) continue;
+      while (r.rank >= below + hist[digit]) {
+        below += hist[digit];
+        ++digit;
+        GTRIX_CHECK_MSG(digit <= 0xFFFF, "RadixQuantiles: a pass added different samples");
+      }
+      r.rank -= below;
+      r.prefix = (r.prefix << 16) | digit;
+      r.bucket = hist[digit];
+    }
+  };
+  if (pass_ == 0) {
+    walk(0, top_.data());
+  } else {
+    for (std::size_t group = 0; group < prefixes_.size(); ++group) {
+      walk(group, counts_.data() + (group << 16));
+    }
+  }
+  ++pass_;
+}
+
+void RadixQuantiles::select_gathered() {
+  // Sorted, the gathered samples run prefix by prefix, so a rank sits at
+  // (samples under smaller prefixes) + its rank inside its own prefix. The
+  // ranks ascend, so each selection only reorders what the last one left
+  // to its right.
+  const int shift = 64 - 16 * pass_;
+  auto first = gathered_.begin();
+  for (Rank& r : ranks_) {
+    const auto below =
+        pass_ == 0 ? 0 : std::count_if(gathered_.begin(), gathered_.end(), [&](double x) {
+          return (std::bit_cast<std::uint64_t>(x) >> shift) < r.prefix;
+        });
+    GTRIX_CHECK_MSG(static_cast<std::uint64_t>(below) + r.rank < gathered_.size(),
+                    "RadixQuantiles: a pass added different samples");
+    const auto nth = gathered_.begin() + below + static_cast<std::ptrdiff_t>(r.rank);
+    if (&r != &ranks_.front() && nth == first + 1) {
+      // The successor of the last selection: the minimum to its right.
+      std::iter_swap(nth, std::min_element(nth, gathered_.end()));
+    } else {
+      std::nth_element(first, nth, gathered_.end());
+    }
+    r.prefix = std::bit_cast<std::uint64_t>(*nth);
+    first = nth;
+  }
+  gathered_ = {};
+  done_ = true;
+}
+
+double RadixQuantiles::value(std::size_t i) const {
+  GTRIX_CHECK_MSG(done_, "RadixQuantiles: value() before the last pass");
+  if (count_ == 0) return std::numeric_limits<double>::quiet_NaN();
+  const double pos = qs_.at(i) * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const auto order_statistic = [&](std::uint64_t global) {
+    const auto it = std::find_if(ranks_.begin(), ranks_.end(),
+                                 [&](const Rank& r) { return r.global == global; });
+    return std::bit_cast<double>(it->prefix);
+  };
+  const double lo_value = order_statistic(lo);
+  if (frac == 0.0 || lo + 1 >= count_) return lo_value;
+  return lo_value * (1.0 - frac) + order_statistic(lo + 1) * frac;
 }
 
 double quantile_sorted(std::span<const double> sorted, double q) {

@@ -1,7 +1,9 @@
 // Small statistics helpers used by metrics and benchmark harnesses.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,6 +111,89 @@ class LogQuantileSketch {
   std::uint64_t zero_ = 0;
   std::uint64_t overflow_high_ = 0;    ///< beyond the top bin (kept at top value)
   std::size_t total_ = 0;
+};
+
+/// Exact type-7 quantiles of a multiset of finite, non-negative doubles
+/// that the caller enumerates again instead of storing. For such values the
+/// IEEE-754 bit patterns order like uint64, so each needed order statistic
+/// (ranks floor(q(n-1)) and the one above it) is narrowed MSB first by
+/// radix histograms, 2^16 buckets and 16 bits of the answer per pass. Once
+/// the buckets holding the ranks contain at most kGatherCap samples in all,
+/// the next pass collects just those samples and selects among them; a
+/// multiset of at most kGatherCap samples is kept whole by the first pass
+/// and needs no second one. Four passes at most; memory is one histogram per
+/// distinct bucket still in play (at most two per quantile; 32-bit counts
+/// after the first pass) or at most kGatherCap samples, independent of the
+/// sample count.
+///
+///   RadixQuantiles quantiles({0.5, 0.9});
+///   do {
+///     for (double x : samples) quantiles.add(x);
+///   } while (quantiles.next_pass());
+///   quantiles.value(1);  // exact p90
+///
+/// Every pass must add the same multiset (the order is free).
+class RadixQuantiles {
+ public:
+  static constexpr std::size_t kGatherCap = std::size_t{1} << 16;
+
+  /// `qs` ascending, each in [0, 1].
+  explicit RadixQuantiles(std::vector<double> qs);
+
+  void add(double x) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    if (pass_ == 0) {
+      // The first kGatherCap samples are kept as they are; past that, they
+      // and the rest go to the top-digit histogram.
+      if (++count_ <= kGatherCap) {
+        gathered_.push_back(x);
+        return;
+      }
+      if (count_ == kGatherCap + 1) spill();
+      ++top_[bits >> 48];
+      return;
+    }
+    const std::uint64_t prefix = bits >> (64 - 16 * pass_);
+    for (std::size_t g = 0; g < prefixes_.size(); ++g) {
+      if (prefixes_[g] != prefix) continue;
+      if (gather_) {
+        gathered_.push_back(x);
+      } else {
+        ++counts_[(g << 16) | ((bits >> (48 - 16 * pass_)) & 0xFFFF)];
+      }
+      return;
+    }
+  }
+
+  /// Ends a pass over the samples; true while another one is needed.
+  bool next_pass();
+
+  /// Type-7 quantile qs[i] once next_pass() returned false; NaN when empty.
+  double value(std::size_t i) const;
+
+ private:
+  struct Rank {
+    std::uint64_t global = 0;  ///< rank among all samples
+    std::uint64_t rank = 0;    ///< remaining rank inside the prefix
+    std::uint64_t prefix = 0;  ///< answer bits resolved so far
+    std::uint64_t bucket = 0;  ///< samples under that prefix
+    std::size_t group = 0;     ///< index of the prefix in prefixes_
+  };
+
+  void spill();
+  void resolve_digits();
+  void select_gathered();
+
+  std::vector<double> qs_;
+  std::vector<Rank> ranks_;              ///< the distinct ranks needed, ascending
+  std::vector<std::uint64_t> prefixes_;  ///< distinct prefixes in play this pass
+  std::vector<std::uint64_t> top_;       ///< first pass: 2^16 buckets of the top digit
+  std::vector<std::uint32_t> counts_;    ///< later passes: 2^16 buckets per prefix
+  std::vector<double> gathered_;         ///< samples kept for the final selection
+  std::uint64_t count_ = 0;              ///< samples in the first pass
+  int pass_ = 0;                         ///< 16-bit digits resolved so far
+  bool gather_ = false;                  ///< this pass collects instead of counting
+  bool done_ = false;
 };
 
 /// Quantile of a sample using linear interpolation between order statistics

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Exit-code contract of gtrix_campaign for invalid scenarios.
+"""Exit-code contract of gtrix_campaign for invalid scenarios and flags.
 
-A malformed scenario and a sweep past the expansion limit must both be
-rejected up front: exit status 2 and a path-qualified message on stderr,
-never a crash, an allocation failure or exit 1.
+A malformed scenario, a config the engine cannot run and a sweep past the
+expansion limit must all be rejected up front (at --dry-run): exit status 2
+and a path-qualified message on stderr, never a crash, an allocation
+failure or exit 1. A flag whose value is not a number exits 2 as well.
 
 Usage: tests/cli_config_errors_test.py GTRIX_CAMPAIGN_BINARY
 """
@@ -18,6 +19,22 @@ CASES = {
         {"name": "bad-columns", "config": {"columns": 1}},
         "$.config.columns: need at least 2 columns",
     ),
+    "one-layer": (
+        {"name": "one-layer", "config": {"layers": 1}},
+        "$.config.layers: need at least 2 layers",
+    ),
+    "negative-d": (
+        {"name": "negative-d", "config": {"params": {"d": -1}}},
+        "$.config.params.d: the maximum delay d must be positive",
+    ),
+    "u-not-below-d": (
+        {"name": "u-not-below-d", "config": {"params": {"d": 5, "u": 5}}},
+        "$.config.params.u: need the delay uncertainty u below the maximum delay d",
+    ),
+    "swept-d-below-u": (
+        {"name": "swept-d-below-u", "sweep": {"params.d": [1000, 5]}},
+        "$.sweep.params.d: need the delay uncertainty u below the maximum delay d",
+    ),
     "huge-sweep": (
         {"name": "huge-sweep",
          "sweep": {"seed": {"from": 1, "count": 100000},
@@ -29,6 +46,25 @@ CASES = {
         "$.sweep.seed.count: range count",
     ),
 }
+
+# Command lines (after the binary) that must exit 2 naming the bad flag.
+FLAG_CASES = {
+    "threads-not-a-number": (["quickstart-grid", "--dry-run", "--threads=abc"],
+                             "invalid numeric value for --threads: 'abc'"),
+    "shards-not-a-number": (["quickstart-grid", "--dry-run", "--shards=x"],
+                            "invalid numeric value for --shards: 'x'"),
+    "threads-out-of-range": (["quickstart-grid", "--dry-run", "--threads=-1"],
+                             "--threads must be in [0, 1024]"),
+}
+
+
+def check(name, proc, expected):
+    if proc.returncode != 2 or expected not in proc.stderr:
+        print(f"FAIL {name}: exit {proc.returncode}, stderr: {proc.stderr.strip()!r} "
+              f"(want exit 2 and {expected!r})", file=sys.stderr)
+        return 1
+    print(f"ok   {name}: {proc.stderr.strip()}")
+    return 0
 
 
 def main(argv):
@@ -43,12 +79,11 @@ def main(argv):
             path.write_text(json.dumps(doc))
             proc = subprocess.run([binary, str(path), "--dry-run", f"--out={tmp}/out"],
                                   capture_output=True, text=True, timeout=60)
-            if proc.returncode != 2 or expected not in proc.stderr:
-                failures += 1
-                print(f"FAIL {name}: exit {proc.returncode}, stderr: {proc.stderr.strip()!r} "
-                      f"(want exit 2 and {expected!r})", file=sys.stderr)
-            else:
-                print(f"ok   {name}: {proc.stderr.strip()}")
+            failures += check(name, proc, expected)
+        for name, (args, expected) in FLAG_CASES.items():
+            proc = subprocess.run([binary, *args, f"--out={tmp}/out"],
+                                  capture_output=True, text=True, timeout=60)
+            failures += check(name, proc, expected)
     return 1 if failures else 0
 
 

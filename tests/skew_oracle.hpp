@@ -1,0 +1,194 @@
+// Reference implementation of the post-run skew measures, kept as the
+// oracle for metrics/skew.cpp: straight per-pair lookups through
+// Recorder::pulse_time and a materialized vector of every checked pair
+// deviation for the quantiles. Slow and O(pairs) in memory on purpose --
+// it is the obviously-correct spelling the slab kernel must match bit for
+// bit (tests/test_skew_kernel.cpp).
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <limits>
+#include <optional>
+#include <vector>
+
+#include "metrics/skew.hpp"
+
+namespace gtrix::oracle {
+
+/// Each node's steady window [from, to], computed once per node.
+class SteadyWindows {
+ public:
+  explicit SteadyWindows(const GridTrace& trace) : trace_(trace) {
+    const std::uint32_t n = trace.grid->node_count();
+    from_.resize(n);
+    to_.resize(n);
+    for (GridNodeId g = 0; g < n; ++g) {
+      const RecNodeId id = trace.rec_id(g);
+      from_[g] = trace.recorder->steady_from(id, trace.node_warmup);
+      const Sigma last = trace.recorder->last_recorded(id);
+      to_[g] = last == Recorder::kInvalidSigma ? Recorder::kInvalidSigma
+                                               : last - trace.node_tail;
+    }
+  }
+
+  std::optional<SimTime> pulse(GridNodeId g, Sigma s) const {
+    if (from_[g] == Recorder::kInvalidSigma || s < from_[g]) return std::nullopt;
+    if (to_[g] == Recorder::kInvalidSigma || s > to_[g]) return std::nullopt;
+    return trace_.recorder->pulse_time(trace_.rec_id(g), s);
+  }
+
+ private:
+  const GridTrace& trace_;
+  std::vector<Sigma> from_;
+  std::vector<Sigma> to_;
+};
+
+/// Type-7 quantile by rank selection over a copy of the samples.
+inline double exact_quantile(std::vector<double> samples, double q) {
+  const double pos = q * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  auto lo_it = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), lo_it, samples.end());
+  const double lo_value = *lo_it;
+  if (frac == 0.0 || lo + 1 >= samples.size()) return lo_value;
+  const double hi_value = *std::min_element(lo_it + 1, samples.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
+}
+
+inline SkewReport compute_skew(const GridTrace& trace, Sigma lo, Sigma hi) {
+  const Grid& grid = *trace.grid;
+  const BaseGraph& base = grid.base();
+  const auto edges = base.edges();
+  const SteadyWindows windows(trace);
+
+  SkewReport report;
+  report.sigma_lo = lo;
+  report.sigma_hi = hi;
+  report.intra_by_layer.assign(grid.layers(), 0.0);
+  report.inter_by_layer.assign(grid.layers() > 0 ? grid.layers() - 1 : 0, 0.0);
+  report.spread_by_layer.assign(grid.layers(), 0.0);
+  std::vector<double> deviations;
+
+  for (std::uint32_t layer = 0; layer < grid.layers(); ++layer) {
+    double intra = 0.0;
+    double spread = 0.0;
+    for (Sigma s = lo; s <= hi; ++s) {
+      for (const auto& [a, b] : edges) {
+        const GridNodeId ga = grid.id(a, layer);
+        const GridNodeId gb = grid.id(b, layer);
+        if (trace.is_faulty(ga) || trace.is_faulty(gb)) {
+          ++report.pairs_skipped;
+          continue;
+        }
+        const auto ta = windows.pulse(ga, s);
+        const auto tb = windows.pulse(gb, s);
+        if (!ta || !tb) {
+          ++report.pairs_skipped;
+          continue;
+        }
+        ++report.pairs_checked;
+        const double dev = std::abs(*ta - *tb);
+        intra = std::max(intra, dev);
+        deviations.push_back(dev);
+      }
+      double tmin = std::numeric_limits<double>::infinity();
+      double tmax = -std::numeric_limits<double>::infinity();
+      for (BaseNodeId v = 0; v < base.node_count(); ++v) {
+        const GridNodeId g = grid.id(v, layer);
+        if (trace.is_faulty(g)) continue;
+        const auto t = windows.pulse(g, s);
+        if (!t) continue;
+        tmin = std::min(tmin, *t);
+        tmax = std::max(tmax, *t);
+      }
+      if (tmax >= tmin) spread = std::max(spread, tmax - tmin);
+    }
+    report.intra_by_layer[layer] = intra;
+    report.spread_by_layer[layer] = spread;
+    report.max_intra = std::max(report.max_intra, intra);
+    report.global_skew = std::max(report.global_skew, spread);
+  }
+
+  for (std::uint32_t layer = 0; layer + 1 < grid.layers(); ++layer) {
+    double inter = 0.0;
+    for (BaseNodeId v = 0; v < base.node_count(); ++v) {
+      const GridNodeId gv = grid.id(v, layer);
+      if (trace.is_faulty(gv)) continue;
+      for (GridNodeId gw : grid.successors(gv)) {
+        if (trace.is_faulty(gw)) continue;
+        for (Sigma s = lo; s <= hi; ++s) {
+          const auto tv = windows.pulse(gv, s + 1);
+          const auto tw = windows.pulse(gw, s);
+          if (!tv || !tw) {
+            ++report.pairs_skipped;
+            continue;
+          }
+          ++report.pairs_checked;
+          const double dev = std::abs(*tv - *tw);
+          inter = std::max(inter, dev);
+          deviations.push_back(dev);
+        }
+      }
+    }
+    report.inter_by_layer[layer] = inter;
+    report.max_inter = std::max(report.max_inter, inter);
+  }
+
+  report.local_skew = std::max(report.max_intra, report.max_inter);
+  report.deviations.count = deviations.size();
+  report.deviations.exact = true;
+  if (!deviations.empty()) {
+    double sum = 0.0;
+    for (const double dev : deviations) sum += dev;
+    report.deviations.mean = sum / static_cast<double>(deviations.size());
+    report.deviations.p50 = exact_quantile(deviations, 0.50);
+    report.deviations.p90 = exact_quantile(deviations, 0.90);
+    report.deviations.p99 = exact_quantile(deviations, 0.99);
+  }
+  return report;
+}
+
+inline std::vector<double> local_skew_by_sigma(const GridTrace& trace, Sigma lo, Sigma hi) {
+  const Grid& grid = *trace.grid;
+  const SteadyWindows windows(trace);
+  const auto edges = grid.base().edges();
+  std::vector<double> out(static_cast<std::size_t>(hi >= lo ? hi - lo + 1 : 0),
+                          std::numeric_limits<double>::quiet_NaN());
+  const auto fold = [&](Sigma s, double dev) {
+    double& worst = out[static_cast<std::size_t>(s - lo)];
+    if (std::isnan(worst) || dev > worst) worst = dev;
+  };
+  for (Sigma s = lo; s <= hi; ++s) {
+    for (std::uint32_t layer = 0; layer < grid.layers(); ++layer) {
+      for (const auto& [a, b] : edges) {
+        const GridNodeId ga = grid.id(a, layer);
+        const GridNodeId gb = grid.id(b, layer);
+        if (trace.is_faulty(ga) || trace.is_faulty(gb)) continue;
+        const auto ta = windows.pulse(ga, s);
+        const auto tb = windows.pulse(gb, s);
+        if (!ta || !tb) continue;
+        fold(s, std::abs(*ta - *tb));
+      }
+    }
+    for (std::uint32_t layer = 0; layer + 1 < grid.layers(); ++layer) {
+      for (BaseNodeId v = 0; v < grid.base().node_count(); ++v) {
+        const GridNodeId gv = grid.id(v, layer);
+        if (trace.is_faulty(gv)) continue;
+        const auto tv = windows.pulse(gv, s + 1);
+        if (!tv) continue;
+        for (GridNodeId gw : grid.successors(gv)) {
+          if (trace.is_faulty(gw)) continue;
+          const auto tw = windows.pulse(gw, s);
+          if (!tw) continue;
+          fold(s, std::abs(*tv - *tw));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace gtrix::oracle

@@ -47,6 +47,16 @@ TEST(Flags, InvalidBooleanThrows) {
   EXPECT_THROW((void)f.get_bool("x", false), std::invalid_argument);
 }
 
+TEST(Flags, ParseErrorsAreFlagErrors) {
+  // The CLIs map FlagError to the usage-error exit status 2.
+  EXPECT_THROW((void)make({"--threads=abc"}).get_int("threads", 0), FlagError);
+  EXPECT_THROW((void)make({"--seed=x"}).get_u64("seed", 0), FlagError);
+  EXPECT_THROW((void)make({"--rate=fast"}).get_double("rate", 0.0), FlagError);
+  EXPECT_THROW((void)make({"--x=maybe"}).get_bool("x", false), FlagError);
+  EXPECT_THROW((void)make({"--k=1", "--k=2"}), FlagError);
+  EXPECT_THROW((void)make({"--=x"}), FlagError);
+}
+
 TEST(Flags, DefaultsWhenAbsent) {
   const Flags f = make({});
   EXPECT_EQ(f.get_int("missing", 7), 7);

@@ -157,6 +157,41 @@ TEST(ConfigJson, RangeChecks) {
       JsonError);
 }
 
+TEST(ConfigJson, EngineInvariantsRejectedWithTheirPath) {
+  // Each of these used to pass validation and then fail a GTRIX_CHECK
+  // inside World (exit 1 after --dry-run said the scenario was fine).
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      (void)Scenario::from_json(Json::parse(text)).cells();
+    } catch (const JsonError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(error_of(R"({"name": "x", "config": {"layers": 1}})")
+                .find("$.config.layers: need at least 2 layers"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"name": "x", "config": {"params": {"d": -1}}})")
+                .find("$.config.params.d: the maximum delay d must be positive"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"name": "x", "config": {"params": {"u": -0.5}}})")
+                .find("$.config.params.u: the delay uncertainty u must be >= 0"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"name": "x", "config": {"params": {"d": 5, "u": 5}}})")
+                .find("$.config.params.u: need the delay uncertainty u below"),
+            std::string::npos);
+  // The last key that set d or u is blamed, swept values included.
+  EXPECT_NE(error_of(R"({"name": "x", "config": {"params": {"u": 50}},
+                         "sweep": {"params.d": [1000, 20]}})")
+                .find("cell 'params.d=20': $.sweep.params.d: need the delay uncertainty u"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"name": "x", "sweep": {"layers": [4, 1]}})")
+                .find("$.sweep.layers[1]: need at least 2 layers"),
+            std::string::npos);
+  EXPECT_EQ(error_of(R"({"name": "x", "config": {"layers": 2, "params": {"d": 5, "u": 4.5}}})"),
+            "no error");
+}
+
 TEST(ConfigJson, GridNodeCountOverflowRejectedWithContext) {
   // 4 columns -> 6 base nodes (line with replicated endpoints); 800M layers
   // pushes layers x base past the uint32 id space. Must fail at config

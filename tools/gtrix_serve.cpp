@@ -139,6 +139,11 @@ int main(int argc, char** argv) {
   } catch (const gtrix::CkptError& e) {
     std::fprintf(stderr, "gtrix_serve: %s\n", e.what());
     return 2;
+  } catch (const gtrix::FlagError& e) {
+    // A malformed flag value ("--threads=abc") is a usage error like an
+    // out-of-range one.
+    std::fprintf(stderr, "gtrix_serve: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gtrix_serve: %s\n", e.what());
     return 1;
