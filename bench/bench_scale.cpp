@@ -701,11 +701,4 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace gtrix
 
-int main(int argc, char** argv) {
-  try {
-    return gtrix::run(argc, argv);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_scale: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, gtrix::run); }

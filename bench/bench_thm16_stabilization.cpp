@@ -100,4 +100,4 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace gtrix
 
-int main(int argc, char** argv) { return gtrix::run(argc, argv); }
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, gtrix::run); }

@@ -16,7 +16,7 @@
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace gtrix;
   const Flags flags(argc, argv);
   const auto columns = static_cast<std::uint32_t>(flags.get_int("columns", 16));
@@ -93,3 +93,5 @@ int main(int argc, char** argv) {
               "as p approaches n^-1/2 -- exactly the regime boundary the paper draws.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }

@@ -7,7 +7,7 @@
 #include "runner/experiment.hpp"
 #include "support/flags.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   const gtrix::Flags flags(argc, argv);
 
   gtrix::ExperimentConfig config;
@@ -39,3 +39,5 @@ int main(int argc, char** argv) {
                            : "WARNING: skew exceeds the Theorem 1.1 bound");
   return ok ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }

@@ -15,7 +15,7 @@
 #include "support/flags.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace gtrix;
   const Flags flags(argc, argv);
 
@@ -99,3 +99,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.counters.events_executed));
   return result.skew.max_intra <= result.thm11_bound ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }

@@ -14,7 +14,7 @@
 #include "support/flags.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace gtrix;
   const Flags flags(argc, argv);
   ExperimentConfig config;
@@ -94,3 +94,5 @@ int main(int argc, char** argv) {
   }
   return recovered_at >= 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }

@@ -10,7 +10,7 @@
 #include "runner/experiment.hpp"
 #include "support/flags.hpp"
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace gtrix;
   const Flags flags(argc, argv);
   ExperimentConfig config;
@@ -58,3 +58,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }

@@ -5,7 +5,7 @@
 namespace gtrix {
 
 void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards) {
-  // Copy-free k-way merge over buffers the workers already sorted in
+  // Copy-free k-way merge over batches the workers already sorted in
   // parallel (ShardRecorder::sort_window). Ties on (when, node) cannot span
   // buffers -- a node lives in exactly one shard -- so picking the smallest
   // head, lowest shard first, is a stable total order.
@@ -15,7 +15,7 @@ void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards)
     const ShardRecorder::Entry* best = nullptr;
     std::size_t best_shard = 0;
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      const std::vector<ShardRecorder::Entry>& buffer = shards[s]->buffer();
+      const std::vector<ShardRecorder::Entry>& buffer = shards[s]->sealed();
       if (heads[s] >= buffer.size()) continue;
       const ShardRecorder::Entry& head = buffer[heads[s]];
       if (best == nullptr || head.when < best->when ||
@@ -29,10 +29,9 @@ void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards)
     if (best->is_pulse) {
       sink.record_pulse(best->node, best->sigma, best->t);
     } else {
-      sink.record_iteration(best->node, shards[best_shard]->iteration(*best));
+      sink.record_iteration(best->node, shards[best_shard]->sealed_iteration(*best));
     }
   }
-  for (ShardRecorder* shard : shards) shard->clear();
 }
 
 }  // namespace gtrix

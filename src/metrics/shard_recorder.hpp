@@ -4,9 +4,13 @@
 // real Recorder is single-threaded mutable state (global sigma extrema, the
 // streaming accumulators' floating-point sums). In a sharded run each node
 // therefore records into its shard's ShardRecorder -- a plain append-only
-// buffer, touched only by that shard's worker thread -- and the window
-// barrier's serial completion merges all buffers into the true Recorder in
-// (time, node) order via merge_shard_records().
+// buffer, touched only by that shard's worker thread while a window runs.
+// At each window barrier the completion seals every buffer (an O(1) swap
+// into the sealed slot) and the thread that called ShardDriver::run replays
+// the sealed batch into the true Recorder in (time, node) order via
+// merge_shard_records(), overlapped with the workers' next window. Batches
+// are replayed one at a time in window order, so the Recorder sees exactly
+// the call sequence a serial merge at the barrier would produce.
 //
 // Why that order reproduces the serial engine byte-for-byte: every node
 // lives in exactly one shard, so a stable sort by (time, node) preserves
@@ -22,6 +26,7 @@
 
 #include "metrics/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "support/check.hpp"
 
 namespace gtrix {
 
@@ -57,24 +62,36 @@ class ShardRecorder final : public Recorder {
     iterations_.push_back(record);
   }
 
-  std::vector<Entry>& buffer() noexcept { return buffer_; }
-  const IterationRecord& iteration(const Entry& entry) const {
-    return iterations_[static_cast<std::size_t>(entry.sigma)];
+  /// Moves the window's records (already sort_window()ed) into the sealed
+  /// slot and leaves the live buffers empty for the next window: an O(1)
+  /// swap with the slot the previous replay released. Called by the barrier
+  /// completion, with every worker parked.
+  void seal() noexcept {
+    GTRIX_DEBUG_CHECK(sealed_.empty() && sealed_iterations_.empty());
+    buffer_.swap(sealed_);
+    iterations_.swap(sealed_iterations_);
   }
-  /// Empties the window's buffers (after the merge).
-  void clear() noexcept {
-    buffer_.clear();
-    iterations_.clear();
+
+  /// The sealed batch, read by the replay while the worker fills the live
+  /// buffers with the next window.
+  const std::vector<Entry>& sealed() const noexcept { return sealed_; }
+  const IterationRecord& sealed_iteration(const Entry& entry) const {
+    return sealed_iterations_[static_cast<std::size_t>(entry.sigma)];
+  }
+  /// Empties the sealed slot after its replay (capacity is kept).
+  void release_sealed() noexcept {
+    sealed_.clear();
+    sealed_iterations_.clear();
   }
 
   /// Puts the buffer into (when, node) order, stably (each node's own
   /// generation order survives). Called by the OWNING WORKER at the end of
-  /// its window so the sort cost runs in parallel across shards; the serial
-  /// barrier completion then only has to merge already-sorted runs. Events
-  /// execute in time order, so the buffer is globally sorted by `when`
-  /// already; only maximal equal-`when` segments (batched deliveries) can
-  /// be out of node order, and those are short, so this is one linear scan
-  /// plus tiny per-segment sorts.
+  /// its window so the sort cost runs in parallel across shards; the replay
+  /// then only has to merge already-sorted runs. Events execute in time
+  /// order, so the buffer is globally sorted by `when` already; only maximal
+  /// equal-`when` segments (batched deliveries) can be out of node order,
+  /// and those are short, so this is one linear scan plus tiny per-segment
+  /// sorts.
   void sort_window() {
     auto node_less = [](const Entry& a, const Entry& b) { return a.node < b.node; };
     auto it = buffer_.begin();
@@ -89,15 +106,18 @@ class ShardRecorder final : public Recorder {
  private:
   const Simulator* sim_;
   bool keep_iterations_;
-  std::vector<Entry> buffer_;
+  std::vector<Entry> buffer_;  ///< live: the running window's records
   std::vector<IterationRecord> iterations_;
+  std::vector<Entry> sealed_;  ///< the previous window's, awaiting replay
+  std::vector<IterationRecord> sealed_iterations_;
 };
 
-/// Replays every shard buffer into `sink` in global (time, node) order and
-/// clears the buffers. Serial: the shard driver calls this from the window
-/// barrier's completion step. Requires each buffer to already be in
+/// Replays every shard's sealed batch into `sink` in global (time, node)
+/// order; the caller releases the sealed slots afterwards. Runs on the
+/// thread that called ShardDriver::run, concurrently with the workers' next
+/// window (which only touch the live buffers). Requires each batch to be in
 /// (when, node) order (sort_window()); the merge itself is a copy-free
-/// k-way pick so the serial section stays as thin as possible.
+/// k-way pick.
 void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards);
 
 }  // namespace gtrix

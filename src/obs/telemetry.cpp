@@ -111,6 +111,8 @@ Json EngineStats::summary_json() const {
     shard_rows.push_back(std::move(row));
   }
   j.set("shards", std::move(shard_rows));
+  j.set("replay_busy_seconds", replay_busy_seconds);
+  j.set("merge_stall_seconds", merge_stall_seconds);
   j.set("run_wall_seconds", run_wall_seconds);
   j.set("peak_rss_mb", peak_rss_mb);
   if (checkpoints_written + checkpoints_restored + cells_resumed_done > 0) {
@@ -138,6 +140,8 @@ void EngineStats::merge(const EngineStats& other) {
     shards[s].busy_seconds += other.shards[s].busy_seconds;
     shards[s].barrier_wait_seconds += other.shards[s].barrier_wait_seconds;
   }
+  replay_busy_seconds += other.replay_busy_seconds;
+  merge_stall_seconds += other.merge_stall_seconds;
   run_wall_seconds += other.run_wall_seconds;
   peak_rss_mb = std::max(peak_rss_mb, other.peak_rss_mb);
   checkpoints_written += other.checkpoints_written;
@@ -158,6 +162,8 @@ void Telemetry::harvest_into(EngineStats& out) const {
     out.shards[s].busy_seconds += lane.busy_seconds;
     out.shards[s].barrier_wait_seconds += lane.barrier_wait_seconds;
   }
+  out.replay_busy_seconds += replay_.busy_seconds;
+  out.merge_stall_seconds += replay_.stall_seconds;
 }
 
 }  // namespace gtrix

@@ -132,6 +132,13 @@ struct EngineStats {
   /// Events executed per conservative window (sharded runs only).
   ObsHistogram window_events;
   std::vector<EngineShardStats> shards;  ///< empty on serial runs
+  /// Sharded runs: the calling thread replaying sealed trace batches into
+  /// the Recorder, overlapped with the workers' windows.
+  double replay_busy_seconds = 0.0;
+  /// Sharded runs: barrier completions waiting for the previous batch's
+  /// replay (every worker is parked meanwhile). Large next to the shards'
+  /// busy time means the run is replay-bound.
+  double merge_stall_seconds = 0.0;
   double run_wall_seconds = 0.0;         ///< wall time inside run_* calls
   double peak_rss_mb = 0.0;              ///< process peak RSS at harvest time
 
@@ -161,8 +168,9 @@ struct EngineStats {
   Json invariant_json() const;
 
   /// The summary block: every counter, the window histogram, per-shard
-  /// busy/barrier breakdown, run wall time, peak RSS and -- when any
-  /// checkpoint was written or restored -- the checkpoint activity block.
+  /// busy/barrier breakdown with the replay busy/stall seconds beside it,
+  /// run wall time, peak RSS and -- when any checkpoint was written or
+  /// restored -- the checkpoint activity block.
   Json summary_json() const;
 
   /// Accumulates another run's stats (campaign summary aggregation):
@@ -173,7 +181,9 @@ struct EngineStats {
 
 /// Per-shard telemetry lanes for the shard driver: lane s is written only
 /// by shard s's worker thread (own cache line), harvested serially after
-/// the run in lane order -- a deterministic merge by construction.
+/// the run in lane order -- a deterministic merge by construction. The
+/// replay slot is written by the calling thread (busy) and the barrier
+/// completion (stall), each field by one of them only.
 class Telemetry {
  public:
   explicit Telemetry(std::uint32_t lanes) : lanes_(lanes) {}
@@ -185,15 +195,23 @@ class Telemetry {
     ObsHistogram window_events;
   };
 
+  struct Replay {
+    double busy_seconds = 0.0;
+    double stall_seconds = 0.0;
+  };
+
   Lane& lane(std::uint32_t i) { return lanes_[i]; }
+  Replay& replay() { return replay_; }
   std::uint32_t lane_count() const { return static_cast<std::uint32_t>(lanes_.size()); }
 
   /// Adds lane data into `out` (kShardWindows, window_events, per-shard
-  /// busy/barrier seconds). `out.shards` is resized to cover every lane.
+  /// busy/barrier seconds, replay busy/stall seconds). `out.shards` is
+  /// resized to cover every lane.
   void harvest_into(EngineStats& out) const;
 
  private:
   std::vector<Lane> lanes_;
+  Replay replay_;
 };
 
 }  // namespace gtrix

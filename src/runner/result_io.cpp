@@ -53,6 +53,8 @@ Json stats_to_json(const EngineStats& stats) {
     shard_rows.push_back(std::move(row));
   }
   j.set("shards", std::move(shard_rows));
+  j.set("replay_busy_seconds", stats.replay_busy_seconds);
+  j.set("merge_stall_seconds", stats.merge_stall_seconds);
   j.set("run_wall_seconds", stats.run_wall_seconds);
   j.set("peak_rss_mb", stats.peak_rss_mb);
   Json ckpt = Json::object();
@@ -86,6 +88,9 @@ EngineStats stats_from_json(const Json& j) {
     stats.shards[s].busy_seconds = row.at("busy_seconds").as_double();
     stats.shards[s].barrier_wait_seconds = row.at("barrier_wait_seconds").as_double();
   }
+  // Optional: cell results written before the replay figures existed.
+  if (const Json* v = j.find("replay_busy_seconds")) stats.replay_busy_seconds = v->as_double();
+  if (const Json* v = j.find("merge_stall_seconds")) stats.merge_stall_seconds = v->as_double();
   stats.run_wall_seconds = j.at("run_wall_seconds").as_double();
   stats.peak_rss_mb = j.at("peak_rss_mb").as_double();
   const Json& ckpt = j.at("checkpoint");

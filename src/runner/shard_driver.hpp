@@ -9,13 +9,26 @@
 // shard may execute all its events in the window [gmin, gmin + L) without
 // ever receiving a message that should have landed inside it. The loop:
 //
-//   barrier (serial completion):  merge per-shard trace buffers into the
-//       true Recorder; gmin = min over shard queues + mailboxes; stop when
-//       gmin > deadline, else horizon = gmin + L (clamped to the inclusive
-//       deadline for the final window);
+//   barrier (serial completion):  wait until the previous trace batch is
+//       replayed, then seal every shard's sorted trace buffer (an O(1) swap
+//       into ShardRecorder's sealed slot) and hand the batch to the calling
+//       thread; publish the mailboxes; gmin = min over shard queues +
+//       mailboxes; stop when gmin > deadline, else horizon = gmin + L
+//       (clamped to the inclusive deadline for the final window);
 //   workers (parallel):           drain own mailbox in deterministic
 //       (arrival, from, edge) order, then run events strictly below the
-//       horizon (or <= deadline in the final window).
+//       horizon (or <= deadline in the final window), then sort their trace
+//       buffer into (when, node) order;
+//   calling thread (overlapped):  replay each sealed batch into the true
+//       Recorder with the (when, node) k-way merge while the workers run
+//       the next window.
+//
+// The completion never seals a batch before the previous one is replayed,
+// so batches reach the Recorder one at a time, in window order, with the
+// exact sink call sequence of a merge done inside the barrier: results do
+// not depend on how the replay overlaps the windows. run() replays the last
+// batch before it returns; an exception thrown by the replay stops the run
+// at the next completion and is rethrown after the workers are joined.
 //
 // Progress: L > 0 (edge delays are positive), so the gmin event itself is
 // always inside its window -- every window executes at least one event.
@@ -41,8 +54,10 @@ class TraceCollector;
 /// performs no timing work at all -- the instrumentation is one
 /// predictable branch per WINDOW, never per event.
 struct ShardDriverObs {
-  Telemetry* telemetry = nullptr;  ///< lane s <- shard s's window/wait stats
-  TraceCollector* trace = nullptr; ///< window/barrier spans on (trace_pid, shard)
+  Telemetry* telemetry = nullptr;  ///< lane s <- shard s's window/wait stats;
+                                   ///< replay() <- replay busy / merge stall
+  TraceCollector* trace = nullptr; ///< window/barrier spans on (trace_pid, shard),
+                                   ///< merge spans on (trace_pid, shard count)
   std::uint32_t trace_pid = 0;
 };
 
@@ -50,7 +65,8 @@ class ShardDriver {
  public:
   /// All spans are non-owning and must stay alive across run() calls.
   /// `sims[s]`, `shard_recorders[s]` belong to shard s; `recorder` is the
-  /// true single-threaded Recorder the buffers merge into.
+  /// true single-threaded Recorder the sealed batches replay into, on the
+  /// thread that calls run().
   ShardDriver(std::span<Simulator* const> sims, Network& net, Recorder& recorder,
               std::span<ShardRecorder* const> shard_recorders,
               ShardDriverObs obs = {})

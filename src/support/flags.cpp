@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 
 namespace gtrix {
 
@@ -130,6 +132,22 @@ bool Flags::get_bool(std::string_view name, bool def) const {
 std::string Flags::bench_scale() {
   const char* env = std::getenv("GTRIX_BENCH_SCALE");
   return env == nullptr ? std::string("small") : std::string(env);
+}
+
+int run_cli(int argc, char** argv, int (*body)(int, char**)) {
+  std::string_view program = argc > 0 ? argv[0] : "gtrix";
+  program = program.substr(program.find_last_of('/') + 1);
+  const auto fail = [&](const char* message, int status) {
+    std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(program.size()), program.data(), message);
+    return status;
+  };
+  try {
+    return body(argc, argv);
+  } catch (const FlagError& e) {
+    return fail(e.what(), 2);
+  } catch (const std::exception& e) {
+    return fail(e.what(), 1);
+  }
 }
 
 Usage::Usage(std::string program, std::string summary)

@@ -62,6 +62,15 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// Runs a command-line program's body and turns what escapes it into an
+/// exit status with a one-line "program: message" on stderr: a FlagError
+/// (bad flag syntax or a value that does not parse) exits 2 like every other
+/// usage error, any other std::exception exits 1. The example and bench
+/// mains are one line each:
+///
+///   int main(int argc, char** argv) { return gtrix::run_cli(argc, argv, run); }
+int run_cli(int argc, char** argv, int (*body)(int, char**));
+
 /// Builder for --help output; collects flag/positional descriptions and
 /// renders them as an aligned usage block:
 ///

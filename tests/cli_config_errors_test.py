@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Exit-code contract of gtrix_campaign for invalid scenarios and flags.
+"""Exit-code contract of the CLIs for invalid scenarios and flags.
 
 A malformed scenario, a config the engine cannot run and a sweep past the
 expansion limit must all be rejected up front (at --dry-run): exit status 2
 and a path-qualified message on stderr, never a crash, an allocation
-failure or exit 1. A flag whose value is not a number exits 2 as well.
+failure or exit 1. A flag whose value is not a number exits 2 as well --
+in gtrix_campaign and in the example and bench binaries, which share
+run_cli (src/support/flags.hpp).
 
-Usage: tests/cli_config_errors_test.py GTRIX_CAMPAIGN_BINARY
+Usage: tests/cli_config_errors_test.py GTRIX_CAMPAIGN_BINARY [OTHER_BINARY...]
+
+Each OTHER_BINARY must have an entry in OTHER_FLAG_CASES, keyed by its file
+name.
 """
 import json
 import pathlib
@@ -57,6 +62,14 @@ FLAG_CASES = {
                              "--threads must be in [0, 1024]"),
 }
 
+# Bad flag values for the example and bench binaries, keyed by file name.
+OTHER_FLAG_CASES = {
+    "quickstart": (["--columns=abc"], "quickstart: invalid numeric value for --columns: 'abc'"),
+    "bench_thm13_random_faults": (
+        ["--seeds=abc"],
+        "bench_thm13_random_faults: invalid numeric value for --seeds: 'abc'"),
+}
+
 
 def check(name, proc, expected):
     if proc.returncode != 2 or expected not in proc.stderr:
@@ -68,7 +81,7 @@ def check(name, proc, expected):
 
 
 def main(argv):
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
     binary = argv[1]
@@ -84,6 +97,11 @@ def main(argv):
             proc = subprocess.run([binary, *args, f"--out={tmp}/out"],
                                   capture_output=True, text=True, timeout=60)
             failures += check(name, proc, expected)
+    for other in argv[2:]:
+        name = pathlib.Path(other).name
+        args, expected = OTHER_FLAG_CASES[name]
+        proc = subprocess.run([other, *args], capture_output=True, text=True, timeout=60)
+        failures += check(name, proc, expected)
     return 1 if failures else 0
 
 

@@ -204,6 +204,10 @@ TEST(EngineStats, ShardedRunFillsWindowLanesAndEnvelopeCounters) {
   EXPECT_EQ(stats.shards[0].envelopes_drained + stats.shards[1].envelopes_drained,
             stats.get(ObsCounter::kEnvelopesDrained));
   EXPECT_GT(stats.run_wall_seconds, 0.0);
+  // The calling thread replayed every recorded pulse; whether a completion
+  // ever had to wait for it depends on the host, so only the sign is fixed.
+  EXPECT_GT(stats.replay_busy_seconds, 0.0);
+  EXPECT_GE(stats.merge_stall_seconds, 0.0);
 }
 
 TEST(EngineStats, MergeSumsCountersAndMaxesRss) {
@@ -212,6 +216,8 @@ TEST(EngineStats, MergeSumsCountersAndMaxesRss) {
   a.set(ObsCounter::kLogicalEvents, 10);
   a.peak_rss_mb = 50.0;
   a.run_wall_seconds = 1.0;
+  a.replay_busy_seconds = 0.25;
+  a.merge_stall_seconds = 0.125;
   a.shards.resize(1);
   a.shards[0].windows = 3;
   EngineStats b;
@@ -219,12 +225,16 @@ TEST(EngineStats, MergeSumsCountersAndMaxesRss) {
   b.set(ObsCounter::kLogicalEvents, 5);
   b.peak_rss_mb = 80.0;
   b.run_wall_seconds = 0.5;
+  b.replay_busy_seconds = 0.5;
+  b.merge_stall_seconds = 0.25;
   b.shards.resize(2);
   b.shards[1].windows = 4;
   a.merge(b);
   EXPECT_EQ(a.get(ObsCounter::kLogicalEvents), 15u);
   EXPECT_EQ(a.peak_rss_mb, 80.0);  // high-water mark, not a sum
   EXPECT_EQ(a.run_wall_seconds, 1.5);
+  EXPECT_EQ(a.replay_busy_seconds, 0.75);
+  EXPECT_EQ(a.merge_stall_seconds, 0.375);
   ASSERT_EQ(a.shards.size(), 2u);
   EXPECT_EQ(a.shards[0].windows, 3u);
   EXPECT_EQ(a.shards[1].windows, 4u);
@@ -279,11 +289,15 @@ TEST(CampaignTelemetry, SummaryCarriesMergedEngineShapedBlock) {
   EXPECT_GT(stats.at("shard_windows").as_int(), 0);
   EXPECT_GT(stats.at("peak_rss_mb").as_double(), 0.0);
   ASSERT_EQ(stats.at("shards").as_array().size(), 2u);
+  EXPECT_GT(stats.at("replay_busy_seconds").as_double(), 0.0);
+  EXPECT_GE(stats.at("merge_stall_seconds").as_double(), 0.0);
   // The JSONL block must NOT leak engine-shaped or wall-clock fields.
   const std::string jsonl = campaign_jsonl(result);
   EXPECT_EQ(jsonl.find("events_executed"), std::string::npos);
   EXPECT_EQ(jsonl.find("wall_seconds"), std::string::npos);
   EXPECT_EQ(jsonl.find("peak_rss_mb"), std::string::npos);
+  EXPECT_EQ(jsonl.find("replay_busy_seconds"), std::string::npos);
+  EXPECT_EQ(jsonl.find("merge_stall_seconds"), std::string::npos);
 }
 
 TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
@@ -301,6 +315,7 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
   ASSERT_TRUE(doc.contains("traceEvents"));
   std::size_t windows = 0;
   std::size_t barriers = 0;
+  std::size_t merges = 0;
   std::size_t thread_names = 0;
   for (const Json& e : doc.at("traceEvents").as_array()) {
     const std::string ph = e.at("ph").as_string();
@@ -314,6 +329,10 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
     EXPECT_GE(e.at("ts").as_double(), 0.0);
     EXPECT_GE(e.at("dur").as_double(), 0.0);
     if (name == "barrier") ++barriers;
+    if (name == "merge") {
+      ++merges;
+      EXPECT_EQ(e.at("tid").as_int(), 2);  // the replay lane after the shards
+    }
     if (name == "window" || name == "window-final" || name == "drain") {
       ++windows;
       EXPECT_GE(e.at("args").at("events").as_int(), 0);
@@ -321,7 +340,8 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
   }
   EXPECT_GT(windows, 0u);
   EXPECT_GT(barriers, 0u);
-  EXPECT_EQ(thread_names, 2u);  // one label per shard
+  EXPECT_GT(merges, 0u);
+  EXPECT_EQ(thread_names, 3u);  // one label per shard, one for the replay lane
 
   // Window spans account for every executed window, matching the stats.
   const EngineStats stats = world.engine_stats();

@@ -5,15 +5,21 @@
 // campaign JSONL must not depend on the (threads, shards) combination.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "metrics/shard_recorder.hpp"
 #include "net/network.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
 #include "runner/perf.hpp"
+#include "runner/shard_driver.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/spec.hpp"
 #include "sim/simulator.hpp"
 
 namespace gtrix {
@@ -269,6 +275,141 @@ TEST(Sharded, ConfiguringASingleShardKeepsTheSerialEngine) {
   // Serial mode is untouched: topology edits stay legal.
   net.add_edge(n1, n0, 1.0);
   EXPECT_EQ(net.edge_count(), 2u);
+}
+
+/// Records a pulse of `node` every `period` until `until`: a stand-in for a
+/// node algorithm writing through its shard's ShardRecorder.
+class PulseTicker final : public TimerTarget {
+ public:
+  PulseTicker(Simulator& sim, Recorder& recorder, RecNodeId node, SimTime until)
+      : sim_(sim), recorder_(recorder), node_(node), until_(until) {}
+
+  void on_timer(const Event&) override {
+    recorder_.record_pulse(node_, wave_++, sim_.now());
+    if (sim_.now() + kPeriod <= until_) sim_.after(kPeriod, this, 0);
+  }
+
+ private:
+  static constexpr SimTime kPeriod = 0.25;
+  Simulator& sim_;
+  Recorder& recorder_;
+  RecNodeId node_;
+  SimTime until_;
+  Sigma wave_ = 0;
+};
+
+TEST(Sharded, ReplayErrorIsRethrownAfterTheWorkersJoin) {
+  // Shard 1 records from a node id the Recorder never registered, so the
+  // replay of the first batch that carries it throws on the calling thread
+  // while the workers run the next window. run() must stop at the next
+  // barrier, join both workers and rethrow -- not deadlock, not terminate.
+  Simulator sim_a;
+  Simulator sim_b;
+  Network net(sim_a);
+  const NetNodeId n0 = net.add_node();
+  const NetNodeId n1 = net.add_node();
+  net.add_edge(n0, n1, 1.0);
+  net.add_edge(n1, n0, 1.0);
+  net.configure_shards({&sim_a, &sim_b}, {0, 1});
+
+  Recorder recorder;
+  recorder.register_node(0, NodeMeta{});
+  ShardRecorder shard_a(&sim_a, true);
+  ShardRecorder shard_b(&sim_b, true);
+  constexpr SimTime kUntil = 100.0;
+  PulseTicker good(sim_a, shard_a, 0, kUntil);
+  PulseTicker bad(sim_b, shard_b, 7, kUntil);
+  sim_a.at(0.5, &good, 0);
+  sim_b.at(0.5, &bad, 0);
+
+  Simulator* const sims[] = {&sim_a, &sim_b};
+  ShardRecorder* const shard_recorders[] = {&shard_a, &shard_b};
+  ShardDriver driver(sims, net, recorder, shard_recorders);
+  EXPECT_THROW(driver.run(kTimeInfinity), std::logic_error);
+  // The failure stopped the run within a couple of one-unit windows of the
+  // bad batch instead of running the tickers out.
+  EXPECT_LT(sim_a.now(), 10.0);
+  EXPECT_LT(sim_b.now(), 10.0);
+  EXPECT_FALSE(sim_a.idle());
+}
+
+TEST(Sharded, AnchoredStreamingSlicesMatchSerialRun) {
+  // The corruption-anchored streaming path (pin and evict in the Recorder)
+  // is what the replay runs while the workers execute the next window.
+  // Per-wave run_until slices at 2 and 4 shards -- many short run() calls,
+  // each draining its last batch before returning -- must leave the
+  // Recorder exactly as one serial run_to_completion does.
+  ExperimentConfig config = config_from_json(Json::parse(R"({
+    "columns": 8, "layers": 6, "pulses": 36, "seed": 23,
+    "self_stabilizing": true,
+    "recording": {"kind": "streaming", "window": 16}
+  })"));
+  const double corrupt_wave = 8.0;
+  const double lambda = config.params.lambda;
+
+  const auto run_world = [&](World& world, bool sliced) {
+    world.set_corruption_anchor(corrupt_wave);
+    Rng rng(config.seed ^ 0xFEED);
+    double next_slice = lambda;
+    const auto run_to = [&](double deadline) {
+      for (; sliced && next_slice < deadline && !world.idle(); next_slice += lambda) {
+        world.run_until(next_slice);
+      }
+      if (std::isfinite(deadline)) {
+        world.run_until(deadline);
+      } else {
+        world.run_to_completion();
+      }
+    };
+    run_to(corrupt_wave * lambda);
+    world.corrupt_fraction(1.0, rng);
+    run_to(sliced ? (static_cast<double>(config.pulses) + 16.0) * lambda : kTimeInfinity);
+    if (sliced) world.run_to_completion();
+  };
+
+  World serial(config);
+  run_world(serial, false);
+  const SkewReport expected = serial.skew();
+  const Recorder& rec = serial.recorder();
+  ASSERT_GT(rec.pinned_pulse_count(), 0u);
+  const Sigma box_lo = rec.corruption_anchor() - 16;
+  const std::size_t box_waves = 2 * 16 + 1;
+
+  for (const std::uint32_t shards : {2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions engine;
+    engine.shards = shards;
+    World sharded(config, engine);
+    ASSERT_EQ(sharded.shard_count(), shards);
+    run_world(sharded, true);
+
+    const SkewReport got = sharded.skew();
+    EXPECT_EQ(got.intra_by_layer, expected.intra_by_layer);
+    EXPECT_EQ(got.inter_by_layer, expected.inter_by_layer);
+    EXPECT_EQ(got.spread_by_layer, expected.spread_by_layer);
+    EXPECT_EQ(got.local_skew, expected.local_skew);
+    EXPECT_EQ(got.global_skew, expected.global_skew);
+    EXPECT_EQ(got.sigma_lo, expected.sigma_lo);
+    EXPECT_EQ(got.sigma_hi, expected.sigma_hi);
+    EXPECT_EQ(got.pairs_checked, expected.pairs_checked);
+    EXPECT_EQ(got.pairs_skipped, expected.pairs_skipped);
+    EXPECT_EQ(got.deviations.count, expected.deviations.count);
+    EXPECT_EQ(got.deviations.mean, expected.deviations.mean);
+    EXPECT_EQ(got.deviations.p99, expected.deviations.p99);
+
+    const Recorder& sharded_rec = sharded.recorder();
+    EXPECT_EQ(sharded_rec.pinned_pulse_count(), rec.pinned_pulse_count());
+    ASSERT_EQ(sharded_rec.node_count(), rec.node_count());
+    std::vector<double> want(box_waves);
+    std::vector<double> have(box_waves);
+    for (RecNodeId node = 0; node < rec.node_count(); ++node) {
+      rec.pulse_times(node, box_lo, box_waves, want.data(), 1);
+      sharded_rec.pulse_times(node, box_lo, box_waves, have.data(), 1);
+      // Bitwise, so the NaN markers of missing pulses must match too.
+      EXPECT_EQ(std::memcmp(want.data(), have.data(), box_waves * sizeof(double)), 0)
+          << "node " << node;
+    }
+  }
 }
 
 }  // namespace

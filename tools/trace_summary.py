@@ -11,11 +11,14 @@ Perfetto / chrome://tracing):
   * every span's (pid, tid) has a thread_name, every pid a process_name
     (so Perfetto shows labeled tracks, never bare numbers);
   * span names are from the emitter's fixed vocabulary: per-shard
-    "window"/"window-final"/"drain"/"barrier", cell phases
-    "run"/"corrupt"/"recover"/"realign", and campaign cell labels on pid 1.
+    "window"/"window-final"/"drain"/"barrier", "merge" (the calling
+    thread replaying sealed trace batches, on the lane after the shards),
+    cell phases "run"/"corrupt"/"recover"/"realign", and campaign cell
+    labels on pid 1.
 
-Then prints a per-shard busy / barrier-wait breakdown per cell process and
-the campaign-level cell spans. Exits non-zero on any schema violation.
+Then prints a per-shard busy / barrier-wait breakdown (plus the replay
+lane's merge time) per cell process and the campaign-level cell spans.
+Exits non-zero on any schema violation.
 
 Stdlib only; CI runs it against the sharded campaign smoke trace.
 
@@ -27,6 +30,7 @@ import sys
 
 CAMPAIGN_PID = 1
 SHARD_SPANS = {"window", "window-final", "drain", "barrier"}
+REPLAY_SPANS = {"merge"}
 PHASE_SPANS = {"run", "corrupt", "recover", "realign"}
 
 
@@ -73,7 +77,7 @@ def validate(doc):
                 v = e.get(key)
                 if not isinstance(v, (int, float)) or v < 0:
                     fail(f'{where}: span needs numeric "{key}" >= 0')
-            if e["pid"] != CAMPAIGN_PID and name not in SHARD_SPANS | PHASE_SPANS:
+            if e["pid"] != CAMPAIGN_PID and name not in SHARD_SPANS | REPLAY_SPANS | PHASE_SPANS:
                 fail(f"{where}: unexpected span name {name!r} on cell pid {e['pid']}")
             spans.append(e)
         else:
@@ -104,8 +108,13 @@ def summarize(process_names, spans):
 
     by_cell = collections.defaultdict(lambda: collections.defaultdict(
         lambda: {"busy_us": 0.0, "barrier_us": 0.0, "windows": 0}))
+    merge_by_cell = collections.defaultdict(lambda: {"merge_us": 0.0, "batches": 0})
     for e in spans:
         if e["pid"] == CAMPAIGN_PID:
+            continue
+        if e["name"] in REPLAY_SPANS:
+            merge_by_cell[e["pid"]]["merge_us"] += e["dur"]
+            merge_by_cell[e["pid"]]["batches"] += 1
             continue
         row = by_cell[e["pid"]][e["tid"]]
         if e["name"] == "barrier":
@@ -130,6 +139,10 @@ def summarize(process_names, spans):
                       f"busy {r['busy_us'] / 1e3:9.2f} ms  "
                       f"barrier {r['barrier_us'] / 1e3:9.2f} ms  "
                       f"({pct:.0f}% busy)")
+            m = merge_by_cell.get(pid)
+            if m:
+                print(f"    replay:  {m['batches']:5d} batches  "
+                      f"merge {m['merge_us'] / 1e3:9.2f} ms")
 
 
 def main(argv):
