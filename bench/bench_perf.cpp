@@ -1,25 +1,24 @@
-// Engine performance bench: the committed perf trajectory (BENCH_perf.json)
-// and the behaviour-preservation proof for the hot-path refactor.
+// Engine performance bench: the committed perf trajectory (BENCH_perf.json).
 //
-// Every scenario runs twice per repeat -- optimized engine (calendar queue
-// + batched broadcast, the defaults) vs reference engine (binary heap,
-// unbatched, the pre-refactor behaviour). Per-cell skew outputs must be
-// bit-identical between the two; throughput is reported as logical
-// events/sec (invariant under broadcast batching, see runner/perf.hpp) and
-// the headline number is the optimized:reference speedup.
+// Every scenario of the timing set runs once, serially, on the engine.
+// The report records per-layer work counts that are deterministic and need
+// no telemetry (so the gate works in GTRIX_OBS=OFF builds too):
+//   scheduler  events scheduled / executed, calendar rebuilds, calendar
+//              insert-walk steps;
+//   network    delivery events vs messages delivered;
+//   total      logical events (invariant under batching and sharding).
+// Wall time is reported as ns per logical event next to the host
+// fingerprint; it is trajectory only and never gated.
 //
 // Modes:
-//   (default)  timing on the timing set (quickstart-grid, torus-smoke,
-//              table1-comparison, thm11-logd, thm16-stabilization) with
-//              --repeats, identity check on ALL built-in scenarios; prints
+//   (default)  the timing set (quickstart-grid, torus-smoke,
+//              table1-comparison, thm11-logd, thm16-stabilization); prints
 //              the BENCH_perf.json document.
-//   --quick    CI smoke: timing on quickstart-grid + table1-comparison with
-//              2 repeats, identity additionally on torus-smoke.
-//   --baseline=FILE  regression gate: compares the measured table1-comparison
-//              speedup against the committed baseline's and fails (exit 1)
-//              if it dropped by more than --max-regression (default 0.25).
-//              The gate is on the engine-relative speedup, not absolute
-//              events/sec, so it is meaningful on any hardware.
+//   --quick    CI smoke: quickstart-grid + table1-comparison.
+//   --baseline=FILE  count gate: fails (exit 1) if any count of a measured
+//              scenario exceeds the same count in FILE. The counts are
+//              deterministic, so the tolerance is zero.
+//   --telemetry-gate / --checkpoint-gate  the overhead gates (below).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -34,9 +33,8 @@
 namespace gtrix {
 namespace {
 
-// The regression gate anchors on table1-comparison: a ~0.5 s workload with
-// the largest committed speedup (batching + column-split delays), far less
-// noise-prone than gating on the ~6 ms quickstart-grid cells.
+// The overhead gates anchor on table1-comparison: a ~0.1 s workload, far
+// less noise-prone than the ~5 ms quickstart-grid cells.
 constexpr const char* kGateScenario = "table1-comparison";
 
 void write_file(const std::filesystem::path& path, const std::string& contents) {
@@ -46,29 +44,21 @@ void write_file(const std::filesystem::path& path, const std::string& contents) 
   if (!out.flush()) throw std::runtime_error("short write to " + path.string());
 }
 
-double baseline_speedup(const std::string& path) {
+Json read_json(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot read baseline " + path);
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const Json doc = Json::parse(text);
-  for (const Json& scenario : doc.at("scenarios").as_array()) {
-    if (scenario.at("scenario").as_string() == kGateScenario) {
-      return scenario.at("speedup").as_double();
-    }
-  }
-  throw std::runtime_error("baseline " + path + " has no '" + kGateScenario +
-                           "' scenario entry");
+  return Json::parse(text);
 }
 
 int run(int argc, char** argv) {
   Usage usage("bench_perf",
-              "Engine throughput vs the reference engine, with a bit-identity check.");
-  usage.flag("--quick", "CI smoke: small timing + identity sets");
-  usage.flag("--repeats=N", "timing repeats per scenario (best run counts; default 5)");
-  usage.flag("--scenario=NAME", "time only this built-in scenario");
+              "Deterministic per-layer work counts and ns per logical event.");
+  usage.flag("--quick", "CI smoke: small timing set");
+  usage.flag("--repeats=N", "repeats per mode for the overhead gates (default 5)");
+  usage.flag("--scenario=NAME", "measure only this built-in scenario");
   usage.flag("--out=FILE", "also write the report JSON to FILE");
-  usage.flag("--baseline=FILE", "fail on speedup regression vs this BENCH_perf.json");
-  usage.flag("--max-regression=X", "allowed fractional speedup drop (default 0.25)");
+  usage.flag("--baseline=FILE", "fail if any work count exceeds this BENCH_perf.json's");
   usage.flag("--telemetry-gate=TOL",
              "run ONLY the telemetry on/off overhead comparison on the gate "
              "scenario and fail if overhead exceeds TOL (e.g. 0.05); results "
@@ -96,7 +86,7 @@ int run(int argc, char** argv) {
   }
 
   const bool quick = flags.get_bool("quick", false);
-  const int repeats = static_cast<int>(flags.get_int("repeats", quick ? 2 : 5));
+  const int repeats = static_cast<int>(flags.get_int("repeats", 5));
 
   if (flags.has("telemetry-gate")) {
     if (!kObsCompiled) {
@@ -193,13 +183,10 @@ int run(int argc, char** argv) {
   }
 
   std::vector<std::string> timing_set;
-  std::vector<std::string> identity_set;
   if (flags.has("scenario")) {
     timing_set = {flags.get_string("scenario", "")};
-    identity_set = timing_set;
   } else if (quick) {
     timing_set = {"quickstart-grid", kGateScenario};
-    identity_set = {"quickstart-grid", kGateScenario, "torus-smoke"};
   } else {
     // The timing set spans the engine's regimes: tiny grid with i.i.d.
     // random delays (quickstart), component-spec torus (torus-smoke),
@@ -207,68 +194,38 @@ int run(int argc, char** argv) {
     // and the corruption/realign path (thm16).
     timing_set = {"quickstart-grid", "torus-smoke", kGateScenario, "thm11-logd",
                   "thm16-stabilization"};
-    for (const BuiltinInfo& info : builtin_scenarios()) {
-      identity_set.emplace_back(info.name);
-    }
   }
 
-  std::vector<PerfScenarioReport> reports;
+  std::vector<PerfCountReport> reports;
   for (const std::string& name : timing_set) {
-    std::fprintf(stderr, "timing %s (%d repeats, both engines)...\n", name.c_str(),
-                 repeats);
-    reports.push_back(run_perf_scenario(builtin_scenario(name), repeats));
-  }
-  bool all_identical = true;
-  for (const std::string& name : identity_set) {
-    const bool timed_already =
-        std::find(timing_set.begin(), timing_set.end(), name) != timing_set.end();
-    if (timed_already) continue;
-    std::fprintf(stderr, "identity check %s...\n", name.c_str());
-    const PerfScenarioReport report = check_perf_identity(builtin_scenario(name));
-    all_identical = all_identical && report.skew_identical;
-    if (!report.skew_identical) {
-      std::fprintf(stderr, "FAIL: %s skew diverged between engines\n", name.c_str());
-    }
-  }
-  for (const PerfScenarioReport& report : reports) {
-    all_identical = all_identical && report.skew_identical;
-    std::fprintf(stderr, "%s: %.3g ev/s optimized vs %.3g ev/s reference (%.2fx)%s\n",
-                 report.scenario.c_str(), report.optimized.events_per_sec,
-                 report.reference.events_per_sec, report.speedup,
-                 report.skew_identical ? "" : "  SKEW MISMATCH");
+    std::fprintf(stderr, "measuring %s...\n", name.c_str());
+    reports.push_back(run_count_pass(builtin_scenario(name)));
+    const PerfCountReport& r = reports.back();
+    std::fprintf(stderr, "%s: %llu logical events, %.1f ns/event\n", name.c_str(),
+                 static_cast<unsigned long long>(r.counts.logical_events),
+                 r.ns_per_logical_event);
   }
 
-  const Json doc = perf_report_json(reports);
+  const Json doc = count_report_json(reports);
   std::fputs((doc.dump(2) + "\n").c_str(), stdout);
   if (flags.has("out")) write_file(flags.get_string("out", ""), doc.dump(2) + "\n");
 
-  if (!all_identical) {
-    std::fprintf(stderr, "FAIL: engines disagree -- the refactor is not "
-                         "behaviour-preserving\n");
-    return 1;
-  }
-
   if (flags.has("baseline")) {
-    const double committed = baseline_speedup(flags.get_string("baseline", ""));
-    const double allowed_drop = flags.get_double("max-regression", 0.25);
-    double measured = 0.0;
-    for (const PerfScenarioReport& report : reports) {
-      if (report.scenario == kGateScenario) measured = report.speedup;
+    const Json baseline = read_json(flags.get_string("baseline", ""));
+    std::vector<std::string> regressions;
+    for (const PerfCountReport& report : reports) {
+      for (std::string& line : count_regressions(report, baseline)) {
+        regressions.push_back(std::move(line));
+      }
     }
-    if (measured <= 0.0) {
-      std::fprintf(stderr, "FAIL: no %s timing to gate on\n", kGateScenario);
+    if (!regressions.empty()) {
+      for (const std::string& line : regressions) {
+        std::fprintf(stderr, "FAIL: work count rose: %s\n", line.c_str());
+      }
       return 1;
     }
-    const double floor = committed * (1.0 - allowed_drop);
-    if (measured < floor) {
-      std::fprintf(stderr,
-                   "FAIL: %s speedup regressed: measured %.2fx < %.2fx "
-                   "(committed %.2fx minus %.0f%% tolerance)\n",
-                   kGateScenario, measured, floor, committed, allowed_drop * 100.0);
-      return 1;
-    }
-    std::fprintf(stderr, "perf gate OK: %.2fx >= %.2fx floor (committed %.2fx)\n",
-                 measured, floor, committed);
+    std::fprintf(stderr, "perf gate OK: no work count above the baseline (%zu scenarios)\n",
+                 reports.size());
   }
   return 0;
 }

@@ -38,7 +38,9 @@ class TimerTarget;
 inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v2: recorder corruption-anchored retention state (pin box, early list,
 // lost ranges) and the streaming suppression counter.
-inline constexpr std::uint32_t kCkptFormatVersion = 2;
+// v3: the engine fingerprint carries only `shards`; the event-queue
+// section drops the always-zero purge counter.
+inline constexpr std::uint32_t kCkptFormatVersion = 3;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

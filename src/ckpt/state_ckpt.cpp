@@ -87,20 +87,17 @@ void LogQuantileSketch::checkpoint_restore(CkptCursor& cur) {
 // a TimerHandle (arena lanes) and to the (time, seq) total order -- the
 // next event scheduled after a restore gets the same slot, generation and
 // sequence number it would have gotten in the uninterrupted run. Only the
-// priority structure's internal layout (heap array order, calendar bucket
-// geometry) is rebuilt rather than copied: it is engine-shaped state with
-// no influence on the event order.
+// calendar's bucket geometry is rebuilt rather than copied: it is
+// engine-shaped state with no influence on the event order.
 
 void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(EventQueue, 224);
+  GTRIX_CKPT_SIZEOF(EventQueue, 176);
   GTRIX_CKPT_FIELDS(Slot, 9);
-  GTRIX_CKPT_FIELDS(QueueEntry, 4);
   GTRIX_CKPT_FIELDS(EventPayload, 5);
   w.u64(next_seq_);
   w.u64(scheduled_);
   w.u64(executed_);
   w.u64(cancelled_);
-  w.u64(purged_);
   w.u64(rebuilds_);
 
   w.u64(slots_.size());
@@ -137,7 +134,6 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
   scheduled_ = cur.u64();
   executed_ = cur.u64();
   cancelled_ = cur.u64();
-  purged_ = cur.u64();
   rebuilds_ = cur.u64();
 
   const std::uint64_t nslots = cur.count(4 + 1);  // gen + live flag
@@ -178,28 +174,22 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
     prev = idx;
   }
 
-  // Reset the priority structures and refill from the exact (time, seq)
-  // pairs. The calendar is refit to the restored population (same policy
-  // as any rebuild); bucket geometry is engine-shaped state.
-  heap_ = {};
+  // Refill the calendar from the exact (time, seq) pairs, refit to the
+  // restored population (same policy as any rebuild); bucket geometry is
+  // engine-shaped state.
   peek_ = kInvalidEventSlot;
   rebuild_scratch_.clear();
   for (std::uint32_t i = 0; i < nslots; ++i) {
     const Slot& slot = slots_[i];
-    if (!slot.live()) continue;
-    if (kind_ == SchedulerKind::kBinaryHeap) {
-      heap_.push(QueueEntry{slot.time, slot.seq, i, slot.gen});
-    } else {
-      rebuild_scratch_.push_back(RebuildKey{slot.time, slot.seq, i});
-    }
+    if (slot.live()) rebuild_scratch_.push_back(RebuildKey{slot.time, slot.seq, i});
   }
-  if (kind_ == SchedulerKind::kCalendar) calendar_refit(8);  // kMinBuckets
+  calendar_refit(8);  // kMinBuckets
 }
 
 // --- Simulator ---------------------------------------------------------------
 
 void Simulator::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(Simulator, 240);
+  GTRIX_CKPT_SIZEOF(Simulator, 184);
   w.f64(now_);
   queue_.checkpoint_save(w, targets);
 }
@@ -212,7 +202,7 @@ void Simulator::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& targets
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Network, 392);
+  GTRIX_CKPT_SIZEOF(Network, 384);
   GTRIX_CKPT_FIELDS(DeferCell, 3);
   GTRIX_CKPT_FIELDS(ShardCounters, 4);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);

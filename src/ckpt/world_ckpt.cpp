@@ -42,18 +42,10 @@ Json World::checkpoint_header(const std::string& meta_json) const {
   j.set("format", "gtrix-checkpoint");
   j.set("version", kCkptFormatVersion);
   j.set("config", to_json(config_));
-  // The engine fingerprint pins everything that shapes serialized state:
-  // the scheduler kind decides how the queue snapshot is rebuilt, the shard
-  // count decides the queue/mailbox layout, and the remaining gates guard
-  // against restoring into an engine whose counters would diverge from the
-  // snapshotted run's summary. `shards` is the clamped effective count.
+  // The engine fingerprint pins what shapes serialized state: the shard
+  // count decides the queue/mailbox layout. `shards` is the clamped
+  // effective count.
   Json engine = Json::object();
-  engine.set("scheduler",
-             engine_.scheduler == SchedulerKind::kCalendar ? "calendar" : "binary-heap");
-  engine.set("batched_broadcast", engine_.batched_broadcast);
-  engine.set("soa_arena", engine_.soa_arena);
-  engine.set("cached_metrics", engine_.cached_metrics);
-  engine.set("single_locate_loop", engine_.single_locate_loop);
   engine.set("shards", shard_count_);
   j.set("engine", engine);
   j.set("meta", meta_json.empty() ? Json() : Json::parse(meta_json));
@@ -155,7 +147,7 @@ void World::checkpoint_restore(const CkptFile& file) {
       throw CkptError(file.path() + ": checkpoint engine fingerprint " +
                       header.at("engine").dump() + " does not match this run's " +
                       expected.at("engine").dump() +
-                      " (resume with the same scheduler and shard count)");
+                      " (resume with the same shard count)");
     }
   } catch (const JsonError& e) {
     throw CkptError(file.path() + ": checkpoint header is malformed (" + e.what() + ")");

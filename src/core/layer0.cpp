@@ -35,7 +35,7 @@ void ClockSource::on_timer(const Event& event) {
 
 Layer0LineNode::Layer0LineNode(Simulator& sim, Network& net, NetNodeId self,
                                HardwareClock clock, NetNodeId line_pred, Params params,
-                               Recorder* recorder, Layer0Soa* soa)
+                               Recorder* recorder, Layer0Soa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
@@ -43,11 +43,7 @@ Layer0LineNode::Layer0LineNode(Simulator& sim, Network& net, NetNodeId self,
       line_pred_(line_pred),
       params_(params),
       recorder_(recorder) {
-  if (soa == nullptr) {
-    owned_soa_ = std::make_unique<Layer0Soa>();
-    soa = owned_soa_.get();
-  }
-  soa_ = soa;
+  soa_ = &soa;
   i_ = soa_->add_node();
 }
 

@@ -104,13 +104,8 @@ class PairSweep {
       slab.faulty[v] = trace_.is_faulty(g);
       if (slab.faulty[v]) continue;
       double* column = slab.times.data() + v;
-      if (!trace_.cached_metrics) {
-        for (std::size_t i = 0; i < rows; ++i) {
-          column[i * width_] = trace_.steady_pulse(g, lo_ + static_cast<Sigma>(i)).value_or(kNaN);
-        }
-        continue;
-      }
-      // The node's steady window, clipped to the slab's waves.
+      // The node's steady window (steady_pulse's filter), clipped to the
+      // slab's waves and copied in bulk.
       const RecNodeId id = trace_.rec_id(g);
       const Sigma from = rec.steady_from(id, trace_.node_warmup);
       const Sigma last = rec.last_recorded(id);

@@ -27,10 +27,6 @@ struct GridTrace {
   /// under Appendix-A line input), so the filter is per node, not global.
   Sigma node_warmup = 3;
   Sigma node_tail = 1;
-  /// Read each node's steady window once and copy its pulse times in bulk
-  /// (Recorder::pulse_times); false reads every (node, wave) through
-  /// steady_pulse's per-query log scans instead (EngineOptions).
-  bool cached_metrics = true;
 
   RecNodeId rec_id(GridNodeId g) const { return node_ids.at(g); }
   bool is_faulty(GridNodeId g) const { return recorder->meta(rec_id(g)).faulty; }

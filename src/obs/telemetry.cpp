@@ -35,8 +35,8 @@ constexpr ObsCounterInfo kCatalog[] = {
     {ObsCounter::kEventsScheduled, "events_scheduled", false,
      "raw queue events scheduled (includes later-cancelled ones)"},
     {ObsCounter::kEventsPurged, "events_purged", false,
-     "lazy-cancelled entries physically removed by scan skims and purge "
-     "rebuilds"},
+     "lazily cancelled queue entries dropped later; always 0, the calendar "
+     "queue unlinks a cancelled event at once"},
     {ObsCounter::kCalendarRebuilds, "calendar_rebuilds", false,
      "calendar-queue resize/purge rebuilds"},
     {ObsCounter::kShardWindows, "shard_windows", false,

@@ -3,9 +3,9 @@
 //
 // Determinism discipline -- the part that makes telemetry safe to embed in
 // campaign JSONL: every counter in the catalog is tagged either
-//  * engine-invariant: the value is identical for EVERY EngineOptions
-//    combination (scheduler kind, batching, shard count, sweep threads),
-//    because it counts behaviour the engine gates provably preserve --
+//  * engine-invariant: the value is identical for EVERY engine shape
+//    (shard count, sweep threads, telemetry on or off), because it counts
+//    behaviour the engine provably preserves --
 //    algorithm-issued timer cancels, recorded pulses, logical events. Only
 //    these fields appear in the per-cell `engine_stats` JSONL block, so the
 //    CI byte-identity diffs across (threads, shards) keep holding with

@@ -12,14 +12,24 @@ void TraceCollector::add_complete(std::uint32_t pid, std::uint32_t tid, std::str
 }
 
 void TraceCollector::set_process_name(std::uint32_t pid, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  names_.push_back(Name{false, pid, 0, std::move(name)});
+  set_name(false, pid, 0, std::move(name));
 }
 
 void TraceCollector::set_thread_name(std::uint32_t pid, std::uint32_t tid,
                                      std::string name) {
+  set_name(true, pid, tid, std::move(name));
+}
+
+void TraceCollector::set_name(bool is_thread, std::uint32_t pid, std::uint32_t tid,
+                              std::string name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  names_.push_back(Name{true, pid, tid, std::move(name)});
+  for (Name& n : names_) {
+    if (n.is_thread == is_thread && n.pid == pid && n.tid == tid) {
+      n.name = std::move(name);
+      return;
+    }
+  }
+  names_.push_back(Name{is_thread, pid, tid, std::move(name)});
 }
 
 std::uint32_t TraceCollector::tid_for_current_thread() {

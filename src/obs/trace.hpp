@@ -57,6 +57,8 @@ class TraceCollector {
   void add_complete(std::uint32_t pid, std::uint32_t tid, std::string name,
                     double ts_us, double dur_us, std::int64_t arg_events = -1);
 
+  /// One name per process and per (pid, tid) lane: a later call replaces
+  /// the earlier name instead of adding a second metadata event.
   void set_process_name(std::uint32_t pid, std::string name);
   void set_thread_name(std::uint32_t pid, std::uint32_t tid, std::string name);
 
@@ -85,6 +87,8 @@ class TraceCollector {
     std::uint32_t tid;
     std::string name;
   };
+
+  void set_name(bool is_thread, std::uint32_t pid, std::uint32_t tid, std::string name);
 
   std::chrono::steady_clock::time_point t0_;
   mutable std::mutex mutex_;

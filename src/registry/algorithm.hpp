@@ -45,6 +45,12 @@ struct ExperimentCounters {
   /// events_executed - delivery_events + messages_delivered is the
   /// engine-independent logical event count bench_perf reports.
   std::uint64_t delivery_events = 0;
+  /// Scheduler work (EventQueue counters, summed over shard queues):
+  /// engine-shaped, so not serialized with the counters above (a cell
+  /// reloaded from a done file reads 0); bench_perf's count gate reads them.
+  std::uint64_t events_scheduled = 0;
+  std::uint64_t calendar_rebuilds = 0;
+  std::uint64_t calendar_insert_steps = 0;
 };
 
 /// What an algorithm can be asked to do. The scenario layer checks these
@@ -79,9 +85,8 @@ struct NodeContext {
   double broadcast_offset = 0.0;     ///< static fault shift (0 when correct)
   Recorder* recorder = nullptr;
   /// Struct-of-arrays store for the node's hot state (core/node_state.hpp),
-  /// owned by World. Null is valid: the node falls back to a private
-  /// single-entry arena, so providers can ignore the field entirely.
-  NodeArena* arena = nullptr;
+  /// owned by World (or by a test); the only home of node state.
+  NodeArena& arena;
 };
 
 /// One constructed algorithm node; owns the underlying object.

@@ -99,28 +99,12 @@ struct ResolvedComponents {
 
 ResolvedComponents resolve_components(const ExperimentConfig& config);
 
-/// Engine selection, orthogonal to the experiment config. Every gate is
-/// behaviour-preserving (all combinations produce bit-identical
-/// simulations -- tests/test_perf.cpp proves each gate in isolation); the
-/// defaults are the fast path, and bench_perf runs reference() against
-/// them to measure the speedup and prove the identity. Deliberately NOT
-/// part of ExperimentConfig: configs describe the system under test,
-/// engine options only how fast it is simulated, so they stay out of
-/// config equality, serialization and the scenario format.
+/// Engine selection, orthogonal to the experiment config. Both options are
+/// behaviour-preserving (every combination produces bit-identical
+/// simulations). Deliberately NOT part of ExperimentConfig: configs describe
+/// the system under test, engine options only how it is simulated, so they
+/// stay out of config equality, serialization and the scenario format.
 struct EngineOptions {
-  SchedulerKind scheduler = SchedulerKind::kCalendar;
-  /// One queue event per uniform-delay broadcast instead of one per edge.
-  bool batched_broadcast = true;
-  /// Node hot state in the World-owned struct-of-arrays arena; off = each
-  /// node keeps a private single-entry arena (the pre-refactor
-  /// object-per-node memory layout).
-  bool soa_arena = true;
-  /// Memoized per-node steady windows in skew computation; off = the
-  /// pre-refactor O(pulse-log) scan per (node, wave) query.
-  bool cached_metrics = true;
-  /// Single find-minimum per event in the simulator loop; off = the
-  /// pre-refactor next_time() + run_next() pair.
-  bool single_locate_loop = true;
   /// Conservative-parallel shards for a single run (docs/performance.md,
   /// "Sharded execution"): the base graph is cut into contiguous column
   /// ranges, each with its own event queue, NodeArena and worker thread,
@@ -132,32 +116,15 @@ struct EngineOptions {
   /// harvests counters, window timings and peak RSS after a run. Purely
   /// observational -- simulations are bit-identical with it on or off, and
   /// the engine-invariant counter block is byte-identical across every
-  /// engine combination. Off by default; no-op when compiled out
-  /// (GTRIX_OBS=OFF).
+  /// shard count. Off by default; no-op when compiled out (GTRIX_OBS=OFF).
   bool telemetry = false;
-
-  /// The pre-refactor hot path, reproduced choice by choice: binary heap,
-  /// per-edge broadcasts, object-per-node state, uncached metrics, paired
-  /// locate+pop loop, serial (single-shard) execution. bench_perf measures
-  /// the defaults against this and asserts bit-identical skew results.
-  static EngineOptions reference() {
-    EngineOptions e;
-    e.scheduler = SchedulerKind::kBinaryHeap;
-    e.batched_broadcast = false;
-    e.soa_arena = false;
-    e.cached_metrics = false;
-    e.single_locate_loop = false;
-    e.shards = 1;
-    return e;
-  }
 };
 
 /// One row per EngineOptions gate, for gtrix_campaign --list / --describe:
 /// runnable engine configurations are discoverable without reading headers.
 struct EngineGateDesc {
-  std::string name;         ///< gate name, e.g. "shards"
-  std::string fast_value;   ///< the default (fast-path) setting
-  std::string reference_value;  ///< the EngineOptions::reference() setting
+  std::string name;           ///< gate name, e.g. "shards"
+  std::string default_value;  ///< the default setting
   std::string summary;
 };
 

@@ -1,18 +1,14 @@
 // Performance measurement harness: the committed perf trajectory.
 //
-// bench_perf (and the CI perf smoke) run every cell of a scenario twice --
-// once on the optimized engine (calendar queue + batched broadcast, the
-// defaults) and once on the reference engine (binary heap, unbatched, the
-// pre-refactor behaviour) -- and
-//  * assert the two engines' skew outputs are BIT-identical per cell (the
-//    refactor is provably behaviour-preserving, not approximately so),
-//  * time both and report events/sec plus the optimized:reference speedup.
-//
-// Throughput is normalized to LOGICAL events -- executed queue events minus
-// delivery events plus messages delivered -- which is invariant under
-// broadcast batching (a batched fan-out counts once per message, exactly
-// like the unbatched per-edge events), so the two engines are compared on
-// identical work. See docs/performance.md.
+// bench_perf (and the CI perf smoke) run every cell of a scenario once,
+// serially, and record the deterministic work each layer did: scheduler
+// events scheduled and executed, calendar rebuilds and insert-walk steps,
+// network delivery events against messages delivered, and the logical
+// event total (executed queue events minus delivery events plus messages
+// delivered, invariant under broadcast batching and sharding). The counts
+// are a pure function of the code and the scenario, so the baseline gate
+// compares them exactly; the wall time is reported as ns per logical event
+// for the trajectory and is not gated. See docs/performance.md.
 #pragma once
 
 #include <cstdint>
@@ -25,45 +21,47 @@
 
 namespace gtrix {
 
-/// One engine's aggregate over all cells of a scenario.
-struct PerfEngineStats {
-  double wall_seconds = 0.0;  ///< best (minimum) over the repeat runs
+/// Deterministic per-layer work of one scenario (summed over its cells).
+struct PerfCounts {
+  // Scheduler layer.
+  std::uint64_t events_scheduled = 0;
   std::uint64_t events_executed = 0;
+  std::uint64_t calendar_rebuilds = 0;
+  std::uint64_t calendar_insert_steps = 0;
+  // Network layer.
+  std::uint64_t delivery_events = 0;
   std::uint64_t messages_delivered = 0;
+  // Engine-invariant total.
   std::uint64_t logical_events = 0;
-  double events_per_sec = 0.0;  ///< logical_events / wall_seconds
 };
 
-struct PerfScenarioReport {
+struct PerfCountReport {
   std::string scenario;
   std::size_t cells = 0;
-  int repeats = 1;
-  PerfEngineStats reference;
-  PerfEngineStats optimized;
-  double speedup = 0.0;  ///< optimized.events_per_sec / reference.events_per_sec
-  bool skew_identical = false;
+  PerfCounts counts;
+  double wall_seconds = 0.0;          ///< the one serial pass
+  double ns_per_logical_event = 0.0;  ///< trajectory only, never gated
 };
 
 /// Serializes one cell's skew report to the exact byte string the identity
-/// check compares (the campaign JSONL skew object).
+/// checks compare (the campaign JSONL skew object).
 std::string skew_digest(const ExperimentResult& result);
 
-/// Runs every cell of `scenario` on both engines `repeats` times (timing
-/// takes the fastest repeat; the identity check covers every cell).
-PerfScenarioReport run_perf_scenario(const Scenario& scenario, int repeats);
-
-/// Identity-only variant: runs each cell once per engine and reports
-/// whether all skew digests matched (no timing emphasis; wall times are
-/// still filled in from the single run).
-PerfScenarioReport check_perf_identity(const Scenario& scenario);
+/// Runs every cell of `scenario` once on the default engine.
+PerfCountReport run_count_pass(const Scenario& scenario);
 
 /// The BENCH_perf.json document.
-Json perf_report_json(const std::vector<PerfScenarioReport>& reports);
+Json count_report_json(const std::vector<PerfCountReport>& reports);
+
+/// One line per count of `report` that exceeds the same scenario's count in
+/// `baseline` (a BENCH_perf.json document), e.g. "table1-comparison
+/// events_scheduled: 123 > 120". Throws if the baseline lacks the scenario.
+std::vector<std::string> count_regressions(const PerfCountReport& report, const Json& baseline);
 
 /// Telemetry overhead measurement (the CI "telemetry is ~free" gate; see
-/// docs/observability.md). Runs every cell on the DEFAULT engine with
-/// telemetry off and on, alternating pass order per repeat exactly like the
-/// engine comparison; wall time takes the fastest repeat per mode.
+/// docs/observability.md). Runs every cell with telemetry off and on,
+/// alternating pass order per repeat; wall time takes the fastest repeat
+/// per mode.
 struct TelemetryOverheadReport {
   std::string scenario;
   std::size_t cells = 0;

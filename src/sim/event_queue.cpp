@@ -16,12 +16,8 @@ constexpr std::size_t kMinBuckets = 8;
 
 }  // namespace
 
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::kCalendar) {
-    buckets_.assign(kMinBuckets, kInvalidEventSlot);
-    bucket_mask_ = buckets_.size() - 1;
-  }
-}
+EventQueue::EventQueue()
+    : buckets_(kMinBuckets, kInvalidEventSlot), bucket_mask_(kMinBuckets - 1) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kInvalidEventSlot) {
@@ -37,7 +33,7 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.target = nullptr;
-  ++slot.gen;  // invalidates every outstanding handle and heap entry
+  ++slot.gen;  // invalidates every outstanding handle
   slot.next = free_head_;
   free_head_ = index;
 }
@@ -52,11 +48,7 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
   slot.time = t;
   slot.seq = next_seq_++;
   slot.kind = kind;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push(QueueEntry{t, slot.seq, index, slot.gen});
-  } else {
-    calendar_insert(index);
-  }
+  calendar_insert(index);
   ++scheduled_;
   ++live_;
   return TimerHandle{index, slot.gen};
@@ -64,14 +56,12 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
 
 bool EventQueue::cancel(TimerHandle handle) {
   if (!pending(handle)) return false;
-  if (kind_ == SchedulerKind::kCalendar) {
-    if (peek_ == handle.slot) peek_ = kInvalidEventSlot;
-    calendar_unlink(handle.slot);
-  }
+  if (peek_ == handle.slot) peek_ = kInvalidEventSlot;
+  calendar_unlink(handle.slot);
   release_slot(handle.slot);
   --live_;
   ++cancelled_;
-  if (kind_ == SchedulerKind::kCalendar) calendar_maybe_shrink();
+  calendar_maybe_shrink();
   return true;
 }
 
@@ -87,10 +77,6 @@ SimTime EventQueue::next_time() const {
 }
 
 SimTime EventQueue::peek_time() const {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    return heap_.top().time;
-  }
   GTRIX_CHECK(calendar_find_min());
   return slots_[peek_].time;
 }
@@ -113,17 +99,11 @@ bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
 }
 
 void EventQueue::dispatch_min(SimTime& fired) {
-  std::uint32_t slot_index;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    slot_index = heap_.top().slot;
-    heap_.pop();
-  } else {
-    slot_index = peek_;
-    GTRIX_DEBUG_CHECK_MSG(slots_[slot_index].epoch == epoch_of(slots_[slot_index].time),
-                          "popping a calendar entry whose epoch predates the current width");
-    calendar_unlink(slot_index);
-    peek_ = kInvalidEventSlot;
-  }
+  const std::uint32_t slot_index = peek_;
+  GTRIX_DEBUG_CHECK_MSG(slots_[slot_index].epoch == epoch_of(slots_[slot_index].time),
+                        "popping a calendar entry whose epoch predates the current width");
+  calendar_unlink(slot_index);
+  peek_ = kInvalidEventSlot;
   Slot& slot = slots_[slot_index];
   const Event event{slot.time, slot.kind, slot.payload};
   TimerTarget* target = slot.target;
@@ -132,23 +112,14 @@ void EventQueue::dispatch_min(SimTime& fired) {
   release_slot(slot_index);
   --live_;
   ++executed_;
-  if (kind_ == SchedulerKind::kCalendar) calendar_maybe_shrink();
+  calendar_maybe_shrink();
   fired = event.time;
   target->on_timer(event);
 }
 
-// --- binary-heap engine ------------------------------------------------------
-
-void EventQueue::heap_skim() const {
-  while (!heap_.empty() && stale(heap_.top())) {
-    heap_.pop();
-    ++purged_;
-  }
-}
-
-// --- calendar engine ---------------------------------------------------------
+// --- calendar ----------------------------------------------------------------
 //
-// Invariants (kCalendar):
+// Invariants:
 //  * a live slot with time t is linked into the chain of bucket
 //    epoch_of(t) mod nbuckets; nothing else is linked;
 //  * every chain is sorted ASCENDING by (time, seq) and doubly linked, with

@@ -6,9 +6,8 @@
 //    interface: the engine calls target->on_timer(event) at fire time.
 //  * Event state lives in recycled slots. A freelist returns a slot the
 //    moment its event fires or is cancelled, so memory is O(pending events),
-//    not O(events ever executed). The calendar unlinks a cancelled event
-//    from its bucket chain at once (O(1), the chains are doubly linked);
-//    the reference heap drops it lazily when it reaches the top.
+//    not O(events ever executed). A cancelled event is unlinked from its
+//    bucket chain at once (O(1), the chains are doubly linked).
 //  * Every slot carries a generation counter, bumped whenever the slot is
 //    freed. A TimerHandle is {slot, generation}; a handle whose generation
 //    no longer matches is stale, so cancelling an already-fired, already-
@@ -17,22 +16,17 @@
 //    assigned at schedule time, so two events scheduled for the same instant
 //    fire in scheduling order. Entire simulations are bit-reproducible.
 //
-// Two interchangeable scheduler structures sit behind the one interface:
-//  * SchedulerKind::kCalendar (default) -- a calendar queue (Brown 1988):
-//    an array of time buckets, each the head of an intrusive chain of
-//    slots, with the bucket width fitted to the densest run of pending
-//    events (the wave band d ahead of the cursor). The simulation's
-//    bounded-delay event horizon (every event is scheduled at most
-//    ~Lambda + d past the cursor) keeps schedule and pop O(1) chain
-//    operations instead of O(log n) heap sifts on pointer-cold array levels.
-//  * SchedulerKind::kBinaryHeap -- the pre-calendar binary-heap engine,
-//    kept as the bit-identity reference for bench_perf and the
-//    differential tests. Both structures pop the global (time, seq)
-//    minimum, so they execute identical event sequences.
+// The priority structure is a calendar queue (Brown 1988): an array of
+// time buckets, each the head of an intrusive chain of slots, with the
+// bucket width fitted to the densest run of pending events (the wave band d
+// ahead of the cursor). The simulation's bounded-delay event horizon (every
+// event is scheduled at most ~Lambda + d past the cursor) keeps schedule and
+// pop O(1) chain operations instead of O(log n) heap sifts on pointer-cold
+// array levels. tests/reference_queue.hpp keeps a plain (time, seq) heap as
+// the differential oracle.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -44,11 +38,6 @@ class CkptCursor;
 class CkptTargetMap;
 
 inline constexpr std::uint32_t kInvalidEventSlot = 0xffffffffU;
-
-/// Which internal priority structure an EventQueue / Simulator uses. The
-/// two kinds execute bit-identical event sequences; kCalendar is the fast
-/// default, kBinaryHeap the reference engine bench_perf compares against.
-enum class SchedulerKind : std::uint8_t { kCalendar, kBinaryHeap };
 
 /// POD payload carried by every event, interpreted by the target according
 /// to the event kind. The fields are deliberately generic so one layout
@@ -98,7 +87,7 @@ struct TimerHandle {
 
 class EventQueue {
  public:
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kCalendar);
+  EventQueue();
 
   /// Schedules an event for `target` at absolute time `t`. Returns a handle
   /// usable with cancel() / pending() until the event fires.
@@ -135,18 +124,12 @@ class EventQueue {
   /// horizon, which is the earliest time a cross-shard message can land.
   bool run_next_strictly_before(SimTime horizon, SimTime& fired);
 
-  SchedulerKind scheduler_kind() const noexcept { return kind_; }
-
   std::uint64_t executed_count() const noexcept { return executed_; }
   std::uint64_t scheduled_count() const noexcept { return scheduled_; }
   /// Successful cancel() calls. Engine-invariant: cancellations are issued
-  /// by node code, which behaves identically under every scheduler kind and
-  /// shard layout (telemetry's JSONL block relies on this).
+  /// by node code, which behaves identically under every shard layout
+  /// (telemetry's JSONL block relies on this).
   std::uint64_t cancelled_count() const noexcept { return cancelled_; }
-  /// Lazily-cancelled heap entries dropped when they reach the top.
-  /// Engine-SHAPED (scheduler- and traffic-pattern dependent): summary
-  /// telemetry only. Always 0 under kCalendar, which unlinks on cancel().
-  std::uint64_t purged_count() const noexcept { return purged_; }
   std::size_t pending_count() const noexcept { return live_; }
 
   /// High-water mark of simultaneously pending events: the slot table never
@@ -156,8 +139,7 @@ class EventQueue {
   /// Calendar internals exposed read-only for tests: bucket count, current
   /// bucket width, rebuild count, the chain entries every schedule() so far
   /// walked past to find its place (0 for an append at the chain tail), and
-  /// the number of entries linked into the chains. Meaningless under
-  /// kBinaryHeap.
+  /// the number of entries linked into the chains.
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
@@ -168,8 +150,8 @@ class EventQueue {
   /// exact slot table -- indices, generations, freelist order and the
   /// per-entry sequence numbers -- so outstanding TimerHandles stay valid
   /// across a restore and the (time, seq) total order continues
-  /// unperturbed. The priority structure itself is refit on restore
-  /// (calendar width/bucket layout are engine-shaped, not part of the
+  /// unperturbed. The calendar itself is refit on restore (its width and
+  /// bucket layout are engine-shaped, not part of the
   /// simulated behaviour). Targets round-trip through `targets` ids.
   void checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const;
   void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
@@ -182,7 +164,7 @@ class EventQueue {
     // visits is one 32-byte block.
     SimTime time = 0.0;
     std::uint64_t seq = 0;  ///< schedule order; breaks same-time ties FIFO
-    long long epoch = 0;    ///< calendar only: epoch_of(time), cached at insert
+    long long epoch = 0;    ///< epoch_of(time), cached at insert
     /// A chain is sorted ascending by (time, seq); the head's prev is the
     /// chain tail, the tail's next is invalid.
     std::uint32_t prev = kInvalidEventSlot;
@@ -195,21 +177,7 @@ class EventQueue {
     bool live() const noexcept { return target != nullptr; }
   };
 
-  /// kBinaryHeap entry. The calendar links slots directly instead.
-  struct QueueEntry {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-    // priority_queue is a max-heap by default; invert the comparison.
-    bool operator<(const QueueEntry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
-  };
-
-  /// Lexicographic (time, seq) order -- the one total event order both
-  /// scheduler kinds realize.
+  /// Lexicographic (time, seq) order -- the total event order.
   bool fires_before(std::uint32_t a, std::uint32_t b) const noexcept {
     const Slot& sa = slots_[a];
     const Slot& sb = slots_[b];
@@ -217,23 +185,13 @@ class EventQueue {
     return sa.seq < sb.seq;
   }
 
-  bool stale(const QueueEntry& entry) const noexcept {
-    const Slot& s = slots_[entry.slot];
-    return !s.live() || s.gen != entry.gen;
-  }
-
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
-  /// Locates the next event (heap skim / calendar peek); requires live_ > 0.
+  /// Locates the next event; requires live_ > 0.
   SimTime peek_time() const;
   /// Pops the event peek_time() located and dispatches it.
   void dispatch_min(SimTime& fired);
 
-  // --- binary-heap engine ---------------------------------------------------
-  /// Drops cancelled (stale) entries from the top of the heap.
-  void heap_skim() const;
-
-  // --- calendar engine ------------------------------------------------------
   /// Epoch = which width_-sized time window a timestamp falls in. Exact
   /// integer bookkeeping (no accumulated float boundaries): a slot lives in
   /// the chain of bucket epoch mod nbuckets and belongs to the cursor's
@@ -253,7 +211,7 @@ class EventQueue {
   /// cursored under the post-rebuild width, so the year scan meets it first.
   /// tests/test_calendar_queue.cpp pins this with a directed rebuild ->
   /// behind-cursor-insert regression and a resize differential fuzz against
-  /// the binary heap at the >= 64k-pending scale-grid population.
+  /// the reference heap at the >= 64k-pending scale-grid population.
   long long epoch_of(SimTime t) const noexcept;
   std::size_t bucket_of_epoch(long long epoch) const noexcept;
   /// Stamps slot `index`'s epoch, links it and moves the cursor / peek.
@@ -283,22 +241,14 @@ class EventQueue {
   /// builds call it.
   void calendar_verify_epochs() const;
 
-  SchedulerKind kind_;
-
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kInvalidEventSlot;
   std::uint64_t next_seq_ = 0;
   std::uint64_t scheduled_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  /// mutable: the heap skim that drops stale entries runs inside const peeks.
-  mutable std::uint64_t purged_ = 0;
   std::size_t live_ = 0;
 
-  // kBinaryHeap state. mutable: next_time()/empty() skim lazily.
-  mutable std::priority_queue<QueueEntry> heap_;
-
-  // kCalendar state.
   std::vector<std::uint32_t> buckets_;  ///< chain head slot per bucket
   double width_ = 1.0;
   double inv_width_ = 1.0;        ///< 1 / width_; epochs use the multiply form

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Golden-output check for the paper builtin scenarios.
+"""Golden-output check for the builtin scenarios.
 
-Runs the eight small paper builtins through gtrix_campaign (default seeds,
-full recording) in two engine shapes -- one sweep thread, and four sweep
-threads with two shards per cell -- and compares the SHA-256 of every
-emitted JSONL file against the committed digests in
-tests/golden/jsonl.sha256. Any byte of drift in a result, a serialized
+Runs, in two engine shapes -- one sweep thread, and four sweep threads with
+two shards per cell -- through gtrix_campaign:
+  * the eight small paper builtins (default seeds, full recording);
+  * quick-shape cuts of the three scale builtins (tests/golden/*-quick.json,
+    bench_scale --quick's reshape), each under its own recording spec and
+    under the --recording=full and --recording=windowed overrides;
+  * one resumed run: thm16-stabilization with --checkpoint-dir, its done
+    files deleted, then rerun with --resume, so every cell restores from
+    its newest snapshot and finishes from there.
+The SHA-256 of every emitted JSONL file is compared against the committed
+digests in tests/golden/jsonl.sha256 (a "@mode" suffix names the recording
+override or the resumed run). Any byte of drift in a result, a serialized
 config or the line order fails the check, so a refactor that claims to be
 behaviour-preserving is proven byte for byte.
 
@@ -39,16 +46,58 @@ SHAPES = [
     ["--threads=4", "--shards=2"],
 ]
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "jsonl.sha256"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "jsonl.sha256"
+
+SCALE_SCENARIOS = [
+    "scale-grid-quick",
+    "scale-torus-quick",
+    "scale-stabilization-quick",
+]
+
+# None = the scenario's own recording spec. Streaming is the scale
+# scenarios' own mode; as an override it would replace
+# scale-stabilization's 44-wave window with the default, which is too small
+# for its corruption look-back.
+SCALE_RECORDINGS = [None, "full", "windowed"]
+
+RESUMED = "thm16-stabilization"
+
+
+def campaign(binary, args, shape, out_dir):
+    subprocess.run([binary, *args, "--quiet", f"--out={out_dir}", *shape],
+                   check=True)
+
+
+def digest(out_dir, name):
+    path = pathlib.Path(out_dir) / f"{name}.jsonl"
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run_shape(binary, shape, out_dir):
-    subprocess.run([binary, *SCENARIOS, "--recording=full", "--quiet",
-                    f"--out={out_dir}", *shape], check=True)
     digests = {}
+    campaign(binary, [*SCENARIOS, "--recording=full"], shape, f"{out_dir}/paper")
     for name in SCENARIOS:
-        path = pathlib.Path(out_dir) / f"{name}.jsonl"
-        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[name] = digest(f"{out_dir}/paper", name)
+
+    files = [str(GOLDEN_DIR / f"{name}.json") for name in SCALE_SCENARIOS]
+    for mode in SCALE_RECORDINGS:
+        mode_dir = f"{out_dir}/scale-{mode or 'own'}"
+        override = [f"--recording={mode}"] if mode else []
+        campaign(binary, [*files, *override], shape, mode_dir)
+        for name in SCALE_SCENARIOS:
+            digests[f"{name}@{mode}" if mode else name] = digest(mode_dir, name)
+
+    resume_dir = f"{out_dir}/resumed"
+    ckpt = [RESUMED, "--recording=full", f"--checkpoint-dir={out_dir}/ckpt"]
+    campaign(binary, ckpt, shape, resume_dir)
+    done = list(pathlib.Path(f"{out_dir}/ckpt").rglob("*.done.json"))
+    if not done:
+        raise RuntimeError("checkpointed run left no done files to delete")
+    for path in done:
+        path.unlink()
+    campaign(binary, [*ckpt, "--resume"], shape, resume_dir)
+    digests[f"{RESUMED}@resumed"] = digest(resume_dir, RESUMED)
     return digests
 
 
@@ -74,15 +123,17 @@ def main(argv):
             print("engine shapes disagree; refusing to regenerate",
                   file=sys.stderr)
             return 1
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text("".join(f"{runs[0][name]}  {name}.jsonl\n"
-                                  for name in SCENARIOS))
+        GOLDEN.write_text("".join(f"{value}  {name}.jsonl\n"
+                                  for name, value in runs[0].items()))
         print(f"wrote {GOLDEN}")
         return 0
     golden = read_golden()
     failures = 0
+    for name in golden.keys() - runs[0].keys():
+        failures += 1
+        print(f"FAIL {name}.jsonl: golden digest without a run", file=sys.stderr)
     for shape, digests in zip(SHAPES, runs):
-        for name in SCENARIOS:
+        for name in digests:
             if digests[name] != golden.get(name):
                 failures += 1
                 print(f"FAIL {name}.jsonl ({' '.join(shape)}): "
@@ -90,7 +141,7 @@ def main(argv):
                       file=sys.stderr)
     if failures:
         return 1
-    print(f"golden JSONL digests OK: {len(SCENARIOS)} scenarios x "
+    print(f"golden JSONL digests OK: {len(runs[0])} outputs x "
           f"{len(SHAPES)} engine shapes")
     return 0
 

@@ -1,8 +1,8 @@
-// Calendar-queue scheduler tests: the kCalendar engine's own semantics
-// (churn, FIFO tie-breaks, handle generations -- mirroring the binary-heap
-// suite in test_event_queue.cpp), its resize/rebuild behaviour, and a
-// randomized differential check that kCalendar and kBinaryHeap execute
-// identical event sequences under heavy schedule/cancel churn.
+// Calendar-queue scheduler tests: the calendar's own semantics (churn,
+// FIFO tie-breaks, handle generations), its resize/rebuild behaviour, and
+// randomized differential checks that the calendar and the reference heap
+// (tests/reference_queue.hpp) execute identical event sequences under heavy
+// schedule/cancel churn.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +10,11 @@
 #include <cmath>
 #include <iterator>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "reference_queue.hpp"
 #include "support/rng.hpp"
 
 namespace gtrix {
@@ -30,13 +32,20 @@ struct EventLog final : TimerTarget {
   }
 };
 
+template <typename Q>
+constexpr bool kIsCalendar = std::is_same_v<std::remove_cvref_t<Q>, EventQueue>;
+
 TEST(CalendarQueue, DefaultEngineIsCalendar) {
+  // A fresh queue is an empty calendar at its minimum size.
   EventQueue q;
-  EXPECT_EQ(q.scheduler_kind(), SchedulerKind::kCalendar);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.calendar_buckets(), 8u);
+  EXPECT_EQ(q.calendar_linked_count(), 0u);
+  EXPECT_EQ(q.calendar_rebuilds(), 0u);
 }
 
 TEST(CalendarQueue, RunsInTimeOrder) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(3.0, &log, 0, EventPayload{.i = 3});
   q.schedule(1.0, &log, 0, EventPayload{.i = 1});
@@ -47,7 +56,7 @@ TEST(CalendarQueue, RunsInTimeOrder) {
 }
 
 TEST(CalendarQueue, TiesBreakInSchedulingOrder) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, &log, 0, EventPayload{.i = i});
@@ -61,7 +70,7 @@ TEST(CalendarQueue, TiesBreakInSchedulingOrder) {
 }
 
 TEST(CalendarQueue, SameTimestampFifoSurvivesCancellationChurn) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   std::vector<TimerHandle> doomed;
   for (int i = 0; i < 20; ++i) {
@@ -77,7 +86,7 @@ TEST(CalendarQueue, SameTimestampFifoSurvivesCancellationChurn) {
 }
 
 TEST(CalendarQueue, HandleGenerationsSurviveSlotRecycling) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   const TimerHandle old_handle = q.schedule(1.0, &log, 0, EventPayload{.i = 1});
   q.run_next();
@@ -94,7 +103,7 @@ TEST(CalendarQueue, SchedulingBehindTheCursorStillFiresInOrder) {
   // Popping advances the scan cursor; an event scheduled at an earlier
   // time afterwards must pull the cursor back instead of waiting for a
   // calendar-year wraparound.
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(100.0, &log, 0, EventPayload{.i = 100});
   q.schedule(5000.0, &log, 0, EventPayload{.i = 5000});
@@ -108,7 +117,7 @@ TEST(CalendarQueue, SchedulingBehindTheCursorStillFiresInOrder) {
 
 TEST(CalendarQueue, SparseFarFutureEventsAreFound) {
   // Events many calendar years apart exercise the global-minimum fallback.
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(1.0, &log, 0, EventPayload{.i = 1});
   q.schedule(1e9, &log, 0, EventPayload{.i = 2});
@@ -122,7 +131,7 @@ TEST(CalendarQueue, FarFutureEventsAfterATightFitKeepTheirOrder) {
   // A population clustered within 1e-9 fits the width down to its clamp;
   // epochs of events scheduled afterwards far beyond it would overflow the
   // integer range unless the epoch mapping saturates.
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   for (int i = 0; i < 40; ++i) q.schedule(5.0 + i * 1e-11, &log, 0, EventPayload{.i = 0});
   EXPECT_GT(q.calendar_rebuilds(), 0u);
@@ -140,7 +149,7 @@ TEST(CalendarQueue, FarFutureEventsAfterATightFitKeepTheirOrder) {
 }
 
 TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   constexpr int kLive = 8;
   std::vector<TimerHandle> live;
@@ -156,9 +165,8 @@ TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
     EXPECT_EQ(q.pending_count(), static_cast<std::size_t>(kLive));
   }
   EXPECT_EQ(q.slot_capacity(), baseline_capacity);
-  // Nothing cancelled is left behind to purge, and the bucket count tracks
-  // the tiny live population instead of the 10008 events ever scheduled.
-  EXPECT_EQ(q.purged_count(), 0u);
+  // The bucket count tracks the tiny live population instead of the 10008
+  // events ever scheduled.
   EXPECT_LE(q.calendar_buckets(), 64u);
   while (q.run_next()) {
   }
@@ -167,7 +175,7 @@ TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
 }
 
 TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   Rng rng(7);
   std::vector<TimerHandle> handles;
@@ -189,16 +197,16 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
 /// into a few dozen long chains; the densest-run width must keep the insert
 /// walk short. Cancels hit chain heads (the peeked minimum), chain tails
 /// (the latest event) and tie-run heads, middles and tails, and dispatch
-/// must match the binary heap exactly.
+/// must match the reference heap exactly.
 TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
   constexpr double kD = 1000.0;
   constexpr double kBand = 23.0;
-  EventQueue cal(SchedulerKind::kCalendar);
-  EventQueue heap(SchedulerKind::kBinaryHeap);
+  EventQueue cal;
+  ReferenceQueue heap;
   EventLog cal_log;
   EventLog heap_log;
 
-  const auto drive = [](EventQueue& q, EventLog& log) {
+  const auto drive = [](auto& q, EventLog& log) {
     Rng rng(15);
     std::vector<TimerHandle> handle_of;  // by tag
     std::vector<double> time_of;         // by tag
@@ -221,7 +229,7 @@ TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
       if (it == pending.end()) return;
       EXPECT_TRUE(q.cancel(handle_of[static_cast<std::size_t>(tag)]));
       pending.erase(it);
-      if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+      if constexpr (kIsCalendar<decltype(q)>) {
         EXPECT_EQ(q.calendar_linked_count(), q.pending_count());
       }
     };
@@ -236,7 +244,7 @@ TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
         add(kD + kBand + rng.uniform(0.0, kD));
       }
     }
-    if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+    if constexpr (kIsCalendar<decltype(q)>) {
       EXPECT_LE(static_cast<double>(q.calendar_insert_steps()) /
                     static_cast<double>(q.scheduled_count()),
                 4.0);
@@ -274,7 +282,7 @@ TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
         add(next);
       }
     }
-    if (q.scheduler_kind() == SchedulerKind::kCalendar) {
+    if constexpr (kIsCalendar<decltype(q)>) {
       EXPECT_LE(static_cast<double>(q.calendar_insert_steps()) /
                     static_cast<double>(q.scheduled_count()),
                 4.0);
@@ -285,7 +293,6 @@ TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
 
   drive(cal, cal_log);
   drive(heap, heap_log);
-  EXPECT_EQ(cal.purged_count(), 0u);
   ASSERT_EQ(cal_log.events.size(), heap_log.events.size());
   for (std::size_t i = 0; i < cal_log.events.size(); ++i) {
     ASSERT_EQ(cal_log.events[i].time, heap_log.events[i].time) << "at " << i;
@@ -294,17 +301,18 @@ TEST(CalendarQueue, WaveBandPopulationKeepsChainsShort) {
 }
 
 /// Differential fuzz: a random interleaving of schedule / cancel / pop must
-/// dispatch the identical event sequence on both engines.
+/// dispatch the identical event sequence on the calendar and the reference
+/// heap.
 TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
   for (std::uint64_t seed : {1ULL, 42ULL, 1234ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    ReferenceQueue heap;
     EventLog cal_log;
     EventLog heap_log;
     Rng cal_rng(seed);
     Rng heap_rng(seed);
 
-    const auto drive = [](EventQueue& q, EventLog& log, Rng& rng) {
+    const auto drive = [](auto& q, EventLog& log, Rng& rng) {
       std::vector<TimerHandle> handles;
       double now = 0.0;
       std::int64_t tag = 0;
@@ -349,12 +357,12 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
 /// identity below.
 TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
   for (const std::uint64_t seed : {7ULL, 99ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    ReferenceQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::int64_t tag = 0;
       // Phase 1: >= 64k pending events in a dense window (forces several
@@ -415,12 +423,12 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
 /// and fit-to-population rebuilds interleave with behind-cursor scheduling.
 TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
   for (const std::uint64_t seed : {5ULL, 2024ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    ReferenceQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::vector<TimerHandle> handles;
       double now = 0.0;
@@ -469,7 +477,7 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
 
 /// Windowed pops under cancel/resize churn: the sharded driver pops each
 /// shard's queue in [gmin, horizon) windows via run_next_strictly_before, so
-/// the calendar engine must agree with the heap when window boundaries
+/// the calendar must agree with the reference heap when window boundaries
 /// interleave with behind-cursor inserts and rebuilds. In a
 /// -DGTRIX_DEBUG_CHECKS build (the sanitizer CI jobs), every pop, rebuild
 /// and behind-cursor insert in this churn additionally runs the chain and
@@ -479,12 +487,12 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
 /// staled it.
 TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
   for (const std::uint64_t seed : {11ULL, 4242ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    ReferenceQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::vector<TimerHandle> handles;
       std::int64_t tag = 0;
@@ -531,22 +539,20 @@ TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
 /// run_next_due respects the deadline and reports fire times (the single-
 /// locate simulator loop depends on both).
 TEST(CalendarQueue, RunNextDueStopsAtDeadline) {
-  for (const SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    EventLog log;
-    q.schedule(1.0, &log, 0, EventPayload{.i = 1});
-    q.schedule(2.0, &log, 0, EventPayload{.i = 2});
-    q.schedule(3.0, &log, 0, EventPayload{.i = 3});
-    SimTime fired = -1.0;
-    EXPECT_TRUE(q.run_next_due(2.0, fired));
-    EXPECT_DOUBLE_EQ(fired, 1.0);
-    EXPECT_TRUE(q.run_next_due(2.0, fired));
-    EXPECT_DOUBLE_EQ(fired, 2.0);
-    EXPECT_FALSE(q.run_next_due(2.0, fired));  // t=3 is past the deadline
-    EXPECT_EQ(q.pending_count(), 1u);
-    EXPECT_TRUE(q.run_next_due(5.0, fired));
-    EXPECT_DOUBLE_EQ(fired, 3.0);
-  }
+  EventQueue q;
+  EventLog log;
+  q.schedule(1.0, &log, 0, EventPayload{.i = 1});
+  q.schedule(2.0, &log, 0, EventPayload{.i = 2});
+  q.schedule(3.0, &log, 0, EventPayload{.i = 3});
+  SimTime fired = -1.0;
+  EXPECT_TRUE(q.run_next_due(2.0, fired));
+  EXPECT_DOUBLE_EQ(fired, 1.0);
+  EXPECT_TRUE(q.run_next_due(2.0, fired));
+  EXPECT_DOUBLE_EQ(fired, 2.0);
+  EXPECT_FALSE(q.run_next_due(2.0, fired));  // t=3 is past the deadline
+  EXPECT_EQ(q.pending_count(), 1u);
+  EXPECT_TRUE(q.run_next_due(5.0, fired));
+  EXPECT_DOUBLE_EQ(fired, 3.0);
 }
 
 }  // namespace

@@ -138,17 +138,6 @@ INSTANTIATE_TEST_SUITE_P(Paper, BuiltinSkewKernel,
                            return name;
                          });
 
-TEST(SkewKernel, ReferenceEnginePathMatchesTheOracle) {
-  // cached_metrics = false fills the slabs through GridTrace::steady_pulse.
-  const ScenarioCell cell = builtin_scenario("thm12-worstcase-faults").cells().front();
-  World world(cell.config, EngineOptions::reference());
-  world.run_to_completion();
-  GridTrace trace = world.trace();
-  ASSERT_FALSE(trace.cached_metrics);
-  const auto [lo, hi] = default_window(world.recorder(), cell.config.warmup);
-  expect_same_measures(trace, lo, hi);
-}
-
 // --- synthetic traces ---------------------------------------------------------
 
 /// Replicated-line grid whose pulse times the test sets directly.

@@ -114,9 +114,9 @@ int list_builtins() {
       "hard error naming the lost waves -- there is no silent fallback to full\n"
       "recording. See docs/scaling.md, 'Realignment at scale'.\n");
 
-  Table gates({"engine gate", "fast", "reference", "summary"});
+  Table gates({"engine gate", "default", "summary"});
   for (const EngineGateDesc& desc : engine_gate_descs()) {
-    gates.row().add(desc.name).add(desc.fast_value).add(desc.reference_value).add(desc.summary);
+    gates.row().add(desc.name).add(desc.default_value).add(desc.summary);
   }
   std::printf("\nengine gates (EngineOptions; performance only -- every combination "
               "produces bit-identical results):\n%s",
@@ -153,9 +153,8 @@ int describe_component(const std::string& kind) {
     if (desc.name != kind) continue;
     found = true;
     std::printf("engine gate '%s' (EngineOptions; performance only, results are "
-                "bit-identical)\n  %s\n  fast engine: %s, reference engine: %s\n\n",
-                desc.name.c_str(), desc.summary.c_str(), desc.fast_value.c_str(),
-                desc.reference_value.c_str());
+                "bit-identical)\n  %s\n  default: %s\n\n",
+                desc.name.c_str(), desc.summary.c_str(), desc.default_value.c_str());
   }
   if (!found) {
     std::string valid;

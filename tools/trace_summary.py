@@ -9,7 +9,8 @@ Perfetto / chrome://tracing):
   * metadata events ("ph": "M") are process_name/thread_name with an
     args.name string;
   * every span's (pid, tid) has a thread_name, every pid a process_name
-    (so Perfetto shows labeled tracks, never bare numbers);
+    (so Perfetto shows labeled tracks, never bare numbers), and no lane or
+    process is named twice;
   * span names are from the emitter's fixed vocabulary: per-shard
     "window"/"window-final"/"drain"/"barrier", "merge" (the calling
     thread replaying sealed trace batches, on the lane after the shards),
@@ -66,9 +67,12 @@ def validate(doc):
             if not isinstance(args, dict) or not isinstance(args.get("name"), str):
                 fail(f"{where}: metadata event without args.name string")
             if name == "process_name":
-                process_names[e.get("pid")] = args["name"]
+                names, key = process_names, e.get("pid")
             else:
-                thread_names[(e.get("pid"), e.get("tid"))] = args["name"]
+                names, key = thread_names, (e.get("pid"), e.get("tid"))
+            if key in names:
+                fail(f"{where}: duplicate {name} for {key}")
+            names[key] = args["name"]
         elif ph == "X":
             for key in ("pid", "tid"):
                 if not isinstance(e.get(key), int):
