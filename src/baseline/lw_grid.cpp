@@ -7,14 +7,14 @@
 namespace gtrix {
 
 LynchWelchGridNode::LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self,
-                                       HardwareClock clock, std::vector<NetNodeId> preds,
+                                       HardwareClock clock, std::span<const NetNodeId> preds,
                                        Params params, std::uint32_t trim, Recorder* recorder,
                                        LwSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       params_(params),
       trim_(trim),
       recorder_(recorder) {
@@ -44,10 +44,10 @@ void LynchWelchGridNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& 
     // Dropping one would leave a wave permanently incomplete (the node only
     // fires on a FULL reception set), so overflow is a hard error rather
     // than the silent deadlock a pop_front would cause.
-    GTRIX_CHECK_MSG(pending_.size() < kPendingCap,
+    GTRIX_CHECK_MSG(pending().size(i_) < kPendingCap,
                     "LW grid node pending-queue overflow: predecessors ran more than "
                     "kPendingCap pulses ahead");
-    pending_.push_back(PendingMsg{from, h, pulse.stamp});
+    pending().push_back(i_, PendingMsg{from, h, pulse.stamp});
     return;
   }
   process(from, h, pulse.stamp);
@@ -88,17 +88,14 @@ void LynchWelchGridNode::fire(SimTime now) {
   reset();
   // Deliver each predecessor's earliest queued pulse into the new wave,
   // LEAVING later duplicates queued: a predecessor two waves ahead must not
-  // lose its second queued pulse (per-predecessor order within the deque is
+  // lose its second queued pulse (per-predecessor order within the queue is
   // arrival order, so a front-to-back scan takes the earliest first).
-  for (auto it = pending_.begin(); it != pending_.end() && seen_count() < preds_.size();) {
-    if (seen(static_cast<std::size_t>(slot_of(it->from)))) {
-      ++it;
-      continue;
-    }
-    const PendingMsg msg = *it;
-    it = pending_.erase(it);
+  pending().sweep(i_, [this](const PendingMsg& msg) {
+    if (seen_count() >= preds_.size()) return PendingQueues::Sweep::kStop;
+    if (seen(static_cast<std::size_t>(slot_of(msg.from)))) return PendingQueues::Sweep::kKeep;
     process(msg.from, msg.h_arrival, msg.sigma);
-  }
+    return PendingQueues::Sweep::kTake;
+  });
 }
 
 void LynchWelchGridNode::reset() {

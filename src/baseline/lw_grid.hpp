@@ -16,8 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
+#include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/node_state.hpp"
@@ -31,11 +30,12 @@ namespace gtrix {
 class LynchWelchGridNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the predecessors' network ids, own copy first (exactly
-  /// Grid::predecessors). `trim` receptions are discarded on each side; it
-  /// is clamped so at least two receptions survive. Hot per-wave state
-  /// lives in `soa` (a NodeArena's lw lanes).
+  /// Grid::predecessors), and must outlive the node. `trim` receptions are
+  /// discarded on each side; it is clamped so at least two receptions
+  /// survive. Hot per-wave state and the pending queue live in `soa` (a
+  /// NodeArena's lw lanes).
   LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                     std::vector<NetNodeId> preds, Params params, std::uint32_t trim,
+                     std::span<const NetNodeId> preds, Params params, std::uint32_t trim,
                      Recorder* recorder, LwSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
@@ -54,12 +54,6 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
 
   static constexpr std::size_t kPendingCap = 32;
 
-  struct PendingMsg {
-    NetNodeId from;
-    LocalTime h_arrival;
-    Sigma sigma;
-  };
-
   int slot_of(NetNodeId from) const;
   void process(NetNodeId from, LocalTime h, Sigma sigma);
   void fire(SimTime now);
@@ -75,12 +69,13 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   LocalTime& slot_arrival(std::size_t slot) { return soa_->slot_arrival[slot_base_ + slot]; }
   Sigma& slot_sigma(std::size_t slot) { return soa_->slot_sigma[slot_base_ + slot]; }
   Sigma slot_sigma(std::size_t slot) const { return soa_->slot_sigma[slot_base_ + slot]; }
+  PendingQueues& pending() { return soa_->pending; }
 
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;
+  std::span<const NetNodeId> preds_;
   Params params_;
   std::uint32_t trim_;
   Recorder* recorder_;
@@ -89,7 +84,6 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   std::uint32_t i_;
   std::uint32_t slot_base_;
 
-  std::deque<PendingMsg> pending_;
   std::uint64_t forwarded_ = 0;
 };
 

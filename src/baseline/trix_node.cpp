@@ -5,13 +5,13 @@
 namespace gtrix {
 
 TrixNaiveNode::TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self,
-                             HardwareClock clock, std::vector<NetNodeId> preds,
+                             HardwareClock clock, std::span<const NetNodeId> preds,
                              Params params, Recorder* recorder, TrixSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       params_(params),
       recorder_(recorder) {
   GTRIX_CHECK_MSG(preds_.size() >= 2 && preds_.size() <= kMaxSlots,
@@ -36,8 +36,8 @@ void TrixNaiveNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pulse
   if (seen(static_cast<std::size_t>(slot))) {
     // Second message from the same predecessor within this iteration: it
     // belongs to the next wave; queue it.
-    if (pending_.size() >= kPendingCap) pending_.pop_front();
-    pending_.push_back(PendingMsg{from, h, pulse.stamp});
+    if (pending().size(i_) >= kPendingCap) (void)pending().pop_front(i_);
+    pending().push_back(i_, PendingMsg{from, h, pulse.stamp});
     return;
   }
   process(from, h, pulse.stamp, now);
@@ -70,9 +70,8 @@ void TrixNaiveNode::fire(SimTime now, LocalTime fire_local) {
   ++forwarded_;
   net_.broadcast(self_, Pulse{sigma});
   reset();
-  while (!pending_.empty() && !armed()) {
-    const PendingMsg msg = pending_.front();
-    pending_.pop_front();
+  while (!pending().empty(i_) && !armed()) {
+    const PendingMsg msg = pending().pop_front(i_);
     if (!seen(static_cast<std::size_t>(slot_of(msg.from)))) {
       process(msg.from, msg.h_arrival, msg.sigma, now);
     }

@@ -8,8 +8,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <vector>
+#include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/node_state.hpp"
@@ -22,9 +21,10 @@ namespace gtrix {
 
 class TrixNaiveNode final : public PulseSink, public TimerTarget {
  public:
-  /// Hot per-wave state lives in `soa` (a NodeArena's trix lanes).
+  /// `preds` (own copy first) must outlive the node. Hot per-wave state and
+  /// the pending queue live in `soa` (a NodeArena's trix lanes).
   TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                std::vector<NetNodeId> preds, Params params, Recorder* recorder,
+                std::span<const NetNodeId> preds, Params params, Recorder* recorder,
                 TrixSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
@@ -44,12 +44,6 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   static constexpr std::size_t kMaxSlots = 5;
   static constexpr std::size_t kPendingCap = 16;
 
-  struct PendingMsg {
-    NetNodeId from;
-    LocalTime h_arrival;
-    Sigma sigma;
-  };
-
   int slot_of(NetNodeId from) const;
   void process(NetNodeId from, LocalTime h, Sigma sigma, SimTime now);
   void fire(SimTime now, LocalTime fire_local);
@@ -64,12 +58,13 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   std::uint8_t seen(std::size_t slot) const { return soa_->slot_seen[slot_base_ + slot]; }
   Sigma& slot_sigma(std::size_t slot) { return soa_->slot_sigma[slot_base_ + slot]; }
   Sigma slot_sigma(std::size_t slot) const { return soa_->slot_sigma[slot_base_ + slot]; }
+  PendingQueues& pending() { return soa_->pending; }
 
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;
+  std::span<const NetNodeId> preds_;
   Params params_;
   Recorder* recorder_;
 
@@ -77,7 +72,6 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   std::uint32_t i_;
   std::uint32_t slot_base_;
 
-  std::deque<PendingMsg> pending_;
   std::uint64_t forwarded_ = 0;
 };
 

@@ -40,7 +40,9 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // lost ranges) and the streaming suppression counter.
 // v3: the engine fingerprint carries only `shards`; the event-queue
 // section drops the always-zero purge counter.
-inline constexpr std::uint32_t kCkptFormatVersion = 3;
+// v4: a streaming-skew section saved after the corruption anchor carries
+// its per-node lanes and per-layer wave ring empty (released).
+inline constexpr std::uint32_t kCkptFormatVersion = 4;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

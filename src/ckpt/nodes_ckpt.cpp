@@ -1,8 +1,8 @@
 // Member checkpoint functions for every node class: the algorithm nodes
 // (gradient, naive TRIX, Lynch-Welch), the layer-0 line node and the fault
-// behaviours. Each serializes its arena registers through its own
-// accessors, so the same code covers World-owned arenas and the private
-// fallback arenas of standalone nodes. Timer handles are stored verbatim:
+// behaviours. Each serializes its arena registers -- pending-message queue
+// included, front to back -- through its own accessors. Timer handles are
+// stored verbatim:
 // the event-queue snapshot preserves slot indices and generations, so a
 // restored handle refers to exactly the event it did at save time.
 #include "baseline/lw_grid.hpp"
@@ -25,13 +25,40 @@ void check_slots(std::uint64_t saved, std::size_t now, const char* who) {
   }
 }
 
+void write_pending(CkptWriter& w, const PendingQueues& queues, std::uint32_t q) {
+  GTRIX_CKPT_FIELDS(PendingMsg, 3);
+  w.u64(queues.size(q));
+  queues.for_each(q, [&w](const PendingMsg& m) {
+    w.u32(m.from);
+    w.f64(m.h_arrival);
+    w.i64(m.sigma);
+  });
+}
+
+void read_pending(CkptCursor& cur, PendingQueues& queues, std::uint32_t q, std::size_t cap,
+                  const char* who) {
+  queues.clear(q);
+  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
+  if (npending > cap) {
+    throw CkptError(std::string("checkpoint ") + who + " node has " +
+                    std::to_string(npending) + " pending messages, the cap is " +
+                    std::to_string(cap));
+  }
+  for (std::uint64_t i = 0; i < npending; ++i) {
+    PendingMsg m;
+    m.from = cur.u32();
+    m.h_arrival = cur.f64();
+    m.sigma = cur.i64();
+    queues.push_back(q, m);
+  }
+}
+
 }  // namespace
 
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 472);
-  GTRIX_CKPT_FIELDS(PendingMsg, 3);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 408);
   GTRIX_CKPT_FIELDS(Counters, 8);
   w.u8(soa_->phase[i_]);
   w.f64(h_own());
@@ -47,12 +74,7 @@ void GradientTrixNode::checkpoint_save(CkptWriter& w) const {
     w.u8(seen(s));
     w.i64(slot_sigma(s));
   }
-  w.u64(pending_.size());
-  for (const PendingMsg& m : pending_) {
-    w.u32(m.from);
-    w.f64(m.h_arrival);
-    w.i64(m.sigma);
-  }
+  write_pending(w, soa_->pending, i_);
   ckpt::write_iteration(w, staged_record_);
   w.u64(counters_.iterations);
   w.u64(counters_.late_broadcasts);
@@ -79,15 +101,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
     seen(s) = cur.u8();
     slot_sigma(s) = cur.i64();
   }
-  pending_.clear();
-  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
-  for (std::uint64_t i = 0; i < npending; ++i) {
-    PendingMsg m;
-    m.from = cur.u32();
-    m.h_arrival = cur.f64();
-    m.sigma = cur.i64();
-    pending_.push_back(m);
-  }
+  read_pending(cur, soa_->pending, i_, kPendingCap, "gradient");
   staged_record_ = ckpt::read_iteration(cur);
   counters_.iterations = cur.u64();
   counters_.late_broadcasts = cur.u64();
@@ -102,7 +116,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
 // --- Layer0LineNode ----------------------------------------------------------
 
 void Layer0LineNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Layer0LineNode, 136);
+  GTRIX_CKPT_SIZEOF(Layer0LineNode, 160);
   w.f64(soa_->stored_h[i_]);
   w.i64(soa_->out_sigma[i_]);
   ckpt::write_timer(w, soa_->broadcast_timer[i_]);
@@ -119,8 +133,7 @@ void Layer0LineNode::checkpoint_restore(CkptCursor& cur) {
 // --- TrixNaiveNode -----------------------------------------------------------
 
 void TrixNaiveNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 232);
-  GTRIX_CKPT_FIELDS(PendingMsg, 3);
+  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 168);
   w.u8(soa_->armed[i_]);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);
@@ -129,12 +142,7 @@ void TrixNaiveNode::checkpoint_save(CkptWriter& w) const {
     w.u8(seen(s));
     w.i64(slot_sigma(s));
   }
-  w.u64(pending_.size());
-  for (const PendingMsg& m : pending_) {
-    w.u32(m.from);
-    w.f64(m.h_arrival);
-    w.i64(m.sigma);
-  }
+  write_pending(w, soa_->pending, i_);
   w.u64(forwarded_);
 }
 
@@ -147,23 +155,14 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
     seen(s) = cur.u8();
     slot_sigma(s) = cur.i64();
   }
-  pending_.clear();
-  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
-  for (std::uint64_t i = 0; i < npending; ++i) {
-    PendingMsg m;
-    m.from = cur.u32();
-    m.h_arrival = cur.f64();
-    m.sigma = cur.i64();
-    pending_.push_back(m);
-  }
+  read_pending(cur, soa_->pending, i_, kPendingCap, "trix-naive");
   forwarded_ = cur.u64();
 }
 
 // --- LynchWelchGridNode ------------------------------------------------------
 
 void LynchWelchGridNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 240);
-  GTRIX_CKPT_FIELDS(PendingMsg, 3);
+  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 176);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);
   w.u64(preds_.size());
@@ -172,12 +171,7 @@ void LynchWelchGridNode::checkpoint_save(CkptWriter& w) const {
     w.f64(soa_->slot_arrival[slot_base_ + s]);
     w.i64(slot_sigma(s));
   }
-  w.u64(pending_.size());
-  for (const PendingMsg& m : pending_) {
-    w.u32(m.from);
-    w.f64(m.h_arrival);
-    w.i64(m.sigma);
-  }
+  write_pending(w, soa_->pending, i_);
   w.u64(forwarded_);
 }
 
@@ -190,15 +184,7 @@ void LynchWelchGridNode::checkpoint_restore(CkptCursor& cur) {
     soa_->slot_arrival[slot_base_ + s] = cur.f64();
     slot_sigma(s) = cur.i64();
   }
-  pending_.clear();
-  const std::uint64_t npending = cur.count(4 + 8 + 8);  // from, h_arrival, sigma
-  for (std::uint64_t i = 0; i < npending; ++i) {
-    PendingMsg m;
-    m.from = cur.u32();
-    m.h_arrival = cur.f64();
-    m.sigma = cur.i64();
-    pending_.push_back(m);
-  }
+  read_pending(cur, soa_->pending, i_, kPendingCap, "lynch-welch");
   forwarded_ = cur.u64();
 }
 

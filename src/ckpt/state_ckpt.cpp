@@ -202,7 +202,7 @@ void Simulator::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& targets
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Network, 384);
+  GTRIX_CKPT_SIZEOF(Network, 440);
   GTRIX_CKPT_FIELDS(DeferCell, 3);
   GTRIX_CKPT_FIELDS(ShardCounters, 4);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);
@@ -387,12 +387,15 @@ void write_vec(CkptWriter& w, const std::vector<T>& v, WriteFn&& fn) {
   for (const T& x : v) fn(x);
 }
 
-void check_vec_size(CkptCursor& cur, std::size_t expected, const char* what) {
-  const std::uint64_t n = cur.u64();
+void check_size(std::uint64_t n, std::size_t expected, const char* what) {
   if (n != expected) {
     throw CkptError(std::string("checkpoint streaming-skew lane '") + what +
                     "' size mismatch (different grid or ring configuration)");
   }
+}
+
+void check_vec_size(CkptCursor& cur, std::size_t expected, const char* what) {
+  check_size(cur.u64(), expected, what);
 }
 
 }  // namespace
@@ -424,7 +427,15 @@ void StreamingSkew::checkpoint_save(CkptWriter& w) const {
 }
 
 void StreamingSkew::checkpoint_restore(CkptCursor& cur) {
-  check_vec_size(cur, held_sigma_.size(), "held_sigma");
+  // Per-node lanes come back whole, or empty when the save followed the
+  // corruption anchor's release; the first lane's size says which.
+  const std::uint64_t held = cur.u64();
+  if (held == 0) {
+    release_lanes();
+  } else {
+    allocate_lanes();
+    check_size(held, held_sigma_.size(), "held_sigma");
+  }
   for (Sigma& s : held_sigma_) s = cur.i64();
   check_vec_size(cur, held_time_.size(), "held_time");
   for (SimTime& t : held_time_) t = cur.f64();
@@ -452,6 +463,12 @@ void StreamingSkew::checkpoint_restore(CkptCursor& cur) {
   window_overflows_ = cur.u64();
   out_of_order_ = cur.u64();
   suppressed_ = cur.u64();
+  if ((held == 0) != lanes_released()) {
+    throw CkptError(held == 0 ? "checkpoint streaming-skew lanes are released but no pulse was "
+                                "suppressed"
+                              : "checkpoint streaming-skew lanes are live after a suppressed "
+                                "pulse");
+  }
   deviation_summary_.checkpoint_restore(cur);
   deviation_sketch_.checkpoint_restore(cur);
 }

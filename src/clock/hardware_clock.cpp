@@ -6,9 +6,8 @@
 
 namespace gtrix {
 
-HardwareClock::HardwareClock(double rate, LocalTime offset) {
+HardwareClock::HardwareClock(double rate, LocalTime offset) : first_{0.0, offset, rate} {
   GTRIX_CHECK_MSG(rate > 0.0, "clock rate must be positive");
-  segments_.push_back(Segment{0.0, offset, rate});
 }
 
 HardwareClock::HardwareClock(std::vector<std::pair<SimTime, double>> breakpoints,
@@ -23,13 +22,16 @@ HardwareClock::HardwareClock(std::vector<std::pair<SimTime, double>> breakpoints
       GTRIX_CHECK_MSG(t0 > breakpoints[i - 1].first, "breakpoints must increase");
       h += breakpoints[i - 1].second * (t0 - breakpoints[i - 1].first);
     }
-    segments_.push_back(Segment{t0, h, rate});
+    schedule_.push_back(Segment{t0, h, rate});
   }
+  first_ = schedule_.front();
+  if (schedule_.size() == 1) schedule_.clear();  // constant rate: inline only
+  schedule_.shrink_to_fit();
 }
 
 LocalTime HardwareClock::to_local_schedule(SimTime t) const {
   // Find the last segment with t0 <= t.
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), t,
+  auto it = std::upper_bound(schedule_.begin(), schedule_.end(), t,
                              [](SimTime v, const Segment& s) { return v < s.t0; });
   const Segment& seg = *std::prev(it);
   return seg.h0 + seg.rate * (t - seg.t0);
@@ -38,27 +40,28 @@ LocalTime HardwareClock::to_local_schedule(SimTime t) const {
 SimTime HardwareClock::to_real_schedule(LocalTime h) const {
   // Find the last segment with h0 <= h. h0 is increasing because rates are
   // positive and breakpoints increase.
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), h,
+  auto it = std::upper_bound(schedule_.begin(), schedule_.end(), h,
                              [](LocalTime v, const Segment& s) { return v < s.h0; });
   const Segment& seg = *std::prev(it);
   return seg.t0 + (h - seg.h0) / seg.rate;
 }
 
 double HardwareClock::rate_at(SimTime t) const {
-  auto it = std::upper_bound(segments_.begin(), segments_.end(), t,
+  if (schedule_.empty()) return first_.rate;
+  auto it = std::upper_bound(schedule_.begin(), schedule_.end(), t,
                              [](SimTime v, const Segment& s) { return v < s.t0; });
   return std::prev(it)->rate;
 }
 
 double HardwareClock::min_rate() const {
-  double r = segments_.front().rate;
-  for (const auto& s : segments_) r = std::min(r, s.rate);
+  double r = first_.rate;
+  for (const auto& s : schedule_) r = std::min(r, s.rate);
   return r;
 }
 
 double HardwareClock::max_rate() const {
-  double r = segments_.front().rate;
-  for (const auto& s : segments_) r = std::max(r, s.rate);
+  double r = first_.rate;
+  for (const auto& s : schedule_) r = std::max(r, s.rate);
   return r;
 }
 

@@ -36,20 +36,14 @@ class HardwareClock {
   /// on the hot path. Identical arithmetic to the schedule walk.
   LocalTime to_local(SimTime t) const {
     GTRIX_CHECK_MSG(t >= 0.0, "negative real time");
-    if (segments_.size() == 1) [[likely]] {
-      const Segment& seg = segments_.front();
-      return seg.h0 + seg.rate * (t - seg.t0);
-    }
+    if (schedule_.empty()) [[likely]] return first_.h0 + first_.rate * (t - first_.t0);
     return to_local_schedule(t);
   }
 
   /// Real time at which the local reading reaches h (h >= H(0)).
   SimTime to_real(LocalTime h) const {
-    GTRIX_CHECK_MSG(h >= segments_.front().h0, "local time precedes clock origin");
-    if (segments_.size() == 1) [[likely]] {
-      const Segment& seg = segments_.front();
-      return seg.t0 + (h - seg.h0) / seg.rate;
-    }
+    GTRIX_CHECK_MSG(h >= first_.h0, "local time precedes clock origin");
+    if (schedule_.empty()) [[likely]] return first_.t0 + (h - first_.h0) / first_.rate;
     return to_real_schedule(h);
   }
 
@@ -70,7 +64,12 @@ class HardwareClock {
   LocalTime to_local_schedule(SimTime t) const;
   SimTime to_real_schedule(LocalTime h) const;
 
-  std::vector<Segment> segments_;  // sorted by t0; first has t0 == 0
+  /// The first segment (t0 == 0), inline: a constant-rate clock -- every
+  /// node of a static clock model -- is this alone and allocates nothing.
+  Segment first_;
+  /// Every segment, sorted by t0, for a clock with two or more; empty for
+  /// a single segment.
+  std::vector<Segment> schedule_;
 };
 
 }  // namespace gtrix

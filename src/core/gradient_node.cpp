@@ -12,14 +12,14 @@ constexpr double kGuardSlack = 1e-9;  // float-noise tolerance in guard checks
 }
 
 GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
-                                   HardwareClock clock, std::vector<NetNodeId> preds,
+                                   HardwareClock clock, std::span<const NetNodeId> preds,
                                    GradientNodeConfig config, Recorder* recorder,
                                    GradientSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       config_(config),
       recorder_(recorder) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "node needs its own copy plus >= 1 neighbour");
@@ -56,11 +56,11 @@ void GradientTrixNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pu
       ++counters_.late_absorbed;
       return;
     }
-    if (pending_.size() >= kPendingCap) {
-      pending_.pop_front();
+    if (pending().size(i_) >= kPendingCap) {
+      (void)pending().pop_front(i_);
       ++counters_.pending_overflow;
     }
-    pending_.push_back(PendingMsg{from, h, pulse.stamp});
+    pending().push_back(i_, PendingMsg{from, h, pulse.stamp});
     return;
   }
   process_message(from, h, pulse.stamp, now);
@@ -146,11 +146,12 @@ void GradientTrixNode::update_until(SimTime now, LocalTime now_local) {
 }
 
 void GradientTrixNode::arm_until_timer(LocalTime threshold) {
-  // Always cancel + reschedule, even at an unchanged threshold: eliding the
-  // re-arm would keep the original event's older sequence number, which can
-  // reorder float-exact same-instant ties relative to an engine that
-  // re-armed -- a ~3% saving is not worth weakening the bit-identity
-  // guarantee between engine configurations.
+  // Always cancel + reschedule, even at an unchanged threshold: the re-arm
+  // gives the timer a fresh sequence number, and sequence numbers decide
+  // float-exact same-instant ties. Eliding it would let the timer overtake
+  // events scheduled since the first arm and change which of two tied
+  // events runs first -- a ~3% saving is not worth results that differ from
+  // the golden digests.
   sim_.cancel(until_timer());
   const SimTime fire_at = std::max(clock_.to_real(threshold), sim_.now());
   // The exact local threshold rides along in the payload so the fire path
@@ -334,9 +335,8 @@ void GradientTrixNode::reset_iteration_state() {
 }
 
 void GradientTrixNode::drain_pending(SimTime now) {
-  while (!pending_.empty() && phase() == Phase::kCollect) {
-    const PendingMsg msg = pending_.front();
-    pending_.pop_front();
+  while (!pending().empty(i_) && phase() == Phase::kCollect) {
+    const PendingMsg msg = pending().pop_front(i_);
     process_message(msg.from, msg.h_arrival, msg.sigma, now);
   }
 }
@@ -373,7 +373,7 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
   // control-flow bit. Pending messages and armed timers are dropped /
   // invalidated; freshly scheduled garbage may include a bogus broadcast.
   reset_iteration_state();
-  pending_.clear();
+  pending().clear(i_);
   const LocalTime now_local = clock_.to_local(sim_.now());
   const double lambda = config_.params.lambda;
   const Sigma bogus_sigma = rng.uniform_int(-4, 4);

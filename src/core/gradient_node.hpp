@@ -17,9 +17,8 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <vector>
+#include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/correction.hpp"
@@ -75,11 +74,13 @@ struct GradientNodeConfig {
 class GradientTrixNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the network ids of the predecessors, own copy first --
-  /// exactly Grid::predecessors mapped to network ids. The clock is owned.
-  /// Hot per-iteration state lives in `soa` (a NodeArena's gradient lanes,
-  /// see core/node_state.hpp).
+  /// exactly Grid::predecessors mapped to network ids. The node keeps the
+  /// span, so its storage must outlive the node (World passes the Grid's).
+  /// The clock is owned. Hot per-iteration state and the pending-message
+  /// queue live in `soa` (a NodeArena's gradient lanes, see
+  /// core/node_state.hpp).
   GradientTrixNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                   std::vector<NetNodeId> preds, GradientNodeConfig config,
+                   std::span<const NetNodeId> preds, GradientNodeConfig config,
                    Recorder* recorder, GradientSoa& soa);
 
   GradientTrixNode(const GradientTrixNode&) = delete;
@@ -120,7 +121,8 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): the arena registers
   /// (phase, reception times, slot lanes, timer handles -- handles stay
   /// valid because the queue snapshot preserves slot generations), the
-  /// pending-message queue, the staged iteration record and the counters.
+  /// arena's pending-message queue, the staged iteration record and the
+  /// counters.
   void checkpoint_save(CkptWriter& w) const;
   void checkpoint_restore(CkptCursor& r);
 
@@ -134,12 +136,6 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
 
   static constexpr std::size_t kMaxSlots = IterationRecord::kMaxSlots;
   static constexpr std::size_t kPendingCap = 16;
-
-  struct PendingMsg {
-    NetNodeId from;
-    LocalTime h_arrival;
-    Sigma sigma;
-  };
 
   int slot_of(NetNodeId from) const;
   void process_message(NetNodeId from, LocalTime h, Sigma sigma, SimTime now);
@@ -176,26 +172,26 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   std::uint8_t seen(std::size_t slot) const { return soa_->slot_seen[slot_base_ + slot]; }
   Sigma& slot_sigma(std::size_t slot) { return soa_->slot_sigma[slot_base_ + slot]; }
   Sigma slot_sigma(std::size_t slot) const { return soa_->slot_sigma[slot_base_ + slot]; }
+  PendingQueues& pending() { return soa_->pending; }
 
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;  // slot order; [0] is the own copy
+  std::span<const NetNodeId> preds_;  // slot order; [0] is the own copy
   GradientNodeConfig config_;
   Recorder* recorder_;  // non-owning; may be null
   SendOverride send_override_;
 
-  // SoA residency: the arena's gradient lanes. Timer handles live there
-  // too; they go stale automatically when a timer fires, so a reset is
-  // always safe.
+  // SoA residency: the arena's gradient lanes. Timer handles and the
+  // pending queue live there too; handles go stale automatically when a
+  // timer fires, so a reset is always safe.
   GradientSoa* soa_;
   std::uint32_t i_;          // arena index
   std::uint32_t slot_base_;  // first entry of this node's slot lanes
 
   // Cold per-node state: touched once per iteration (or less), kept out of
   // the hot lanes on purpose.
-  std::deque<PendingMsg> pending_;
   IterationRecord staged_record_{};  // filled at exit_collect, recorded at fire
   Counters counters_;
 };

@@ -51,13 +51,13 @@ class Grid {
  private:
   BaseGraph base_;
   std::uint32_t layers_;
-  // Predecessor/successor lists are identical for every layer >= 1 (resp.
-  // < layers-1) up to an offset of base_.node_count(); store per-base-node
-  // template lists of base ids, own copy first.
-  std::vector<std::vector<BaseNodeId>> in_template_;
-  // Materialized lists per grid node (small grids; keeps call sites simple).
-  std::vector<std::vector<GridNodeId>> preds_;
-  std::vector<std::vector<GridNodeId>> succs_;
+  // Materialized lists per grid node in compressed sparse rows: node g's
+  // predecessors are pred_ids_[pred_offsets_[g] .. pred_offsets_[g + 1]),
+  // successors likewise. Algorithm nodes keep spans into pred_ids_.
+  std::vector<std::uint32_t> pred_offsets_;
+  std::vector<GridNodeId> pred_ids_;
+  std::vector<std::uint32_t> succ_offsets_;
+  std::vector<GridNodeId> succ_ids_;
 };
 
 }  // namespace gtrix

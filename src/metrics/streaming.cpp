@@ -25,6 +25,14 @@ StreamingSkew::StreamingSkew(const Grid& grid, std::vector<bool> faulty, Config 
   ring_ = std::bit_ceil(static_cast<std::size_t>(config.ring_waves));
   ring_mask_ = ring_ - 1;
 
+  const std::uint32_t layers = grid_.layers();
+  intra_by_layer_.assign(layers, 0.0);
+  inter_by_layer_.assign(layers > 0 ? layers - 1 : 0, 0.0);
+  spread_by_layer_.assign(layers, 0.0);
+  allocate_lanes();
+}
+
+void StreamingSkew::allocate_lanes() {
   const std::size_t n = grid_.node_count();
   held_sigma_.assign(n, kNoSigma);
   held_time_.assign(n, 0.0);
@@ -32,22 +40,34 @@ StreamingSkew::StreamingSkew(const Grid& grid, std::vector<bool> faulty, Config 
   held_steady_.assign(n, false);
   ring_sigma_.assign(n * ring_, kNoSigma);
   ring_time_.assign(n * ring_, 0.0);
+  layer_ring_.assign(static_cast<std::size_t>(grid_.layers()) * ring_, WaveExtrema{});
+}
 
-  const std::uint32_t layers = grid_.layers();
-  intra_by_layer_.assign(layers, 0.0);
-  inter_by_layer_.assign(layers > 0 ? layers - 1 : 0, 0.0);
-  spread_by_layer_.assign(layers, 0.0);
-  layer_ring_.assign(static_cast<std::size_t>(layers) * ring_, WaveExtrema{});
+void StreamingSkew::release_lanes() {
+  // Move-assigning an empty vector frees the buffer (clear() would keep it).
+  held_sigma_ = std::vector<Sigma>();
+  held_time_ = std::vector<SimTime>();
+  recorded_ = std::vector<std::int64_t>();
+  held_steady_ = std::vector<bool>();
+  ring_sigma_ = std::vector<Sigma>();
+  ring_time_ = std::vector<SimTime>();
+  layer_ring_ = std::vector<WaveExtrema>();
 }
 
 void StreamingSkew::on_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   if (node >= grid_.node_count()) return;  // line-mode clock source
   if (faulty_[node]) return;               // faulty endpoints never form pairs
-  if (anchor_set_ && t >= anchor_time_) {
-    // Corrupt cell: everything from the injection instant on is suspect;
-    // the accumulators stay the clean pre-corruption epoch.
-    ++suppressed_;
-    return;
+  if (anchor_set_) {
+    if (t >= anchor_time_) {
+      // Corrupt cell: everything from the injection instant on is suspect;
+      // the accumulators stay the clean pre-corruption epoch, and the lanes
+      // that only future commits would read are dead.
+      if (suppressed_++ == 0) release_lanes();
+      return;
+    }
+    GTRIX_CHECK_MSG(suppressed_ == 0,
+                    "streaming skew: pulse before the corruption anchor after a suppressed "
+                    "one (pulses must arrive in time order)");
   }
   const std::int64_t arrival = ++recorded_[node];
   if (held_sigma_[node] != kNoSigma) {

@@ -82,12 +82,21 @@ class StreamingSkew {
   /// waves (World::skew_window after realignment -- docs/scaling.md,
   /// "Realignment at scale"). Suppression keys on the pulse TIME, which is
   /// label-corruption-proof and identical across engines and shard counts.
+  ///
+  /// Pulses reach the accumulator in time order (a shard replay merges by
+  /// time), so after the first suppressed pulse no pulse can commit again:
+  /// that pulse releases the per-node lanes (held pulses and wave rings)
+  /// and the per-layer wave ring, and report() reads only the per-layer
+  /// maxima and the deviation summary, which stay. A pulse before the
+  /// anchor arriving after that is a hard error.
   void set_corruption_anchor(SimTime t_corrupt) {
     anchor_set_ = true;
     anchor_time_ = t_corrupt;
   }
   /// Pulses suppressed by the corruption anchor.
   std::uint64_t suppressed() const noexcept { return suppressed_; }
+  /// True once the corruption anchor released the per-node lanes.
+  bool lanes_released() const noexcept { return suppressed_ > 0; }
 
   /// Lookups that missed because the partner's wave slot had already been
   /// overwritten -- nonzero means the ring is too small for this scenario's
@@ -101,7 +110,8 @@ class StreamingSkew {
   /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): every accumulator lane,
   /// ring slot, per-layer extremum, counter and the deviation summary /
   /// sketch. Grid, fault set and ring geometry are construction state and
-  /// only size-validated on restore.
+  /// only size-validated on restore; lanes released at the corruption
+  /// anchor are saved empty and restored released.
   void checkpoint_save(CkptWriter& w) const;
   void checkpoint_restore(CkptCursor& r);
 
@@ -114,6 +124,10 @@ class StreamingSkew {
 
   static constexpr Sigma kNoSigma = std::numeric_limits<Sigma>::min();
 
+  /// Sizes every per-node lane and the per-layer wave ring for the grid,
+  /// empty; release_lanes() frees them again.
+  void allocate_lanes();
+  void release_lanes();
   void commit(RecNodeId g, Sigma sigma, SimTime t);
   /// Committed time of `g` at `sigma` if still in the ring; NaN otherwise
   /// (overwritten slots bump window_overflows_).
@@ -128,7 +142,7 @@ class StreamingSkew {
 
   // Per-node state, structure-of-arrays. held_* is the one-pulse commit
   // delay realizing the node_tail=1 filter; recorded_ counts arrivals for
-  // the warmup filter.
+  // the warmup filter. Released (empty) after the corruption anchor.
   std::vector<Sigma> held_sigma_;
   std::vector<SimTime> held_time_;
   std::vector<std::int64_t> recorded_;
@@ -142,7 +156,7 @@ class StreamingSkew {
   std::vector<double> intra_by_layer_;
   std::vector<double> inter_by_layer_;
   std::vector<double> spread_by_layer_;
-  std::vector<WaveExtrema> layer_ring_;  ///< layer-major [layer * ring_ + slot]
+  std::vector<WaveExtrema> layer_ring_;  ///< layer-major [layer * ring_ + slot]; released too
 
   std::uint64_t pairs_checked_ = 0;
   std::uint64_t window_overflows_ = 0;

@@ -12,9 +12,7 @@ NetNodeId Network::add_node(PulseSink* sink) {
   GTRIX_CHECK_MSG(shard_count_ <= 1, "cannot add nodes after configure_shards");
   const NetNodeId id = static_cast<NetNodeId>(sinks_.size());
   sinks_.push_back(sink);
-  out_.emplace_back();
-  in_.emplace_back();
-  uniform_out_delay_.push_back(std::numeric_limits<double>::quiet_NaN());
+  adjacency_stale_ = true;
   return id;
 }
 
@@ -26,29 +24,42 @@ EdgeId Network::add_edge(NetNodeId from, NetNodeId to, double delay) {
   GTRIX_CHECK(from < sinks_.size() && to < sinks_.size());
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{from, to, delay});
-  out_[from].push_back(id);
-  in_[to].push_back(id);
-  if (out_[from].size() == 1) {
-    uniform_out_delay_[from] = delay;
-  } else if (uniform_out_delay_[from] != delay) {
-    uniform_out_delay_[from] = std::numeric_limits<double>::quiet_NaN();
-  }
+  adjacency_stale_ = true;
   return id;
+}
+
+void Network::rebuild_adjacency() const {
+  const std::size_t n = sinks_.size();
+  const auto fill = [&](Csr& csr, auto endpoint) {
+    csr.offsets.assign(n + 1, 0);
+    for (const Edge& edge : edges_) ++csr.offsets[endpoint(edge) + 1];
+    for (std::size_t i = 0; i < n; ++i) csr.offsets[i + 1] += csr.offsets[i];
+    csr.edges.resize(edges_.size());
+    std::vector<std::uint32_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+    for (EdgeId e = 0; e < edges_.size(); ++e) csr.edges[cursor[endpoint(edges_[e])]++] = e;
+  };
+  fill(adjacency_.out, [](const Edge& edge) { return edge.from; });
+  fill(adjacency_.in, [](const Edge& edge) { return edge.to; });
+  adjacency_.uniform_out_delay.assign(n, std::numeric_limits<double>::quiet_NaN());
+  for (NetNodeId node = 0; node < n; ++node) {
+    const std::span<const EdgeId> outs = adjacency_.out.of(node);
+    if (outs.empty()) continue;
+    const double uniform = edges_[outs.front()].delay;
+    if (std::all_of(outs.begin(), outs.end(),
+                    [&](EdgeId e) { return edges_[e].delay == uniform; })) {
+      adjacency_.uniform_out_delay[node] = uniform;
+    }
+  }
+  adjacency_stale_ = false;
 }
 
 void Network::set_edge_delay(EdgeId e, double delay) {
   GTRIX_CHECK_MSG(delay > 0.0, "edge delay must be positive");
   edges_.at(e).delay = delay;
-  // Re-derive the sender's uniformity from scratch (rare, config-time call).
-  const NetNodeId from = edges_[e].from;
-  double uniform = edges_[out_[from].front()].delay;
-  for (EdgeId out_edge : out_[from]) {
-    if (edges_[out_edge].delay != uniform) {
-      uniform = std::numeric_limits<double>::quiet_NaN();
-      break;
-    }
-  }
-  uniform_out_delay_[from] = uniform;
+  // Re-derive every sender's uniformity now (rare, config-time call), never
+  // lazily from a worker thread.
+  adjacency_stale_ = true;
+  (void)adjacency();
   if (shard_count_ > 1) recompute_lookahead();
 }
 
@@ -66,6 +77,7 @@ void Network::configure_shards(std::vector<Simulator*> sims,
   GTRIX_CHECK_MSG(shard_count_ == 1 && mail_.empty(), "shards already configured");
   GTRIX_CHECK_MSG(node_shard.size() == sinks_.size(), "node_shard must cover every node");
   if (sims.size() == 1) return;  // serial engine, untouched
+  (void)adjacency();  // build before worker threads read it concurrently
   shard_sims_ = std::move(sims);
   node_shard_ = std::move(node_shard);
   shard_count_ = static_cast<std::uint32_t>(shard_sims_.size());
@@ -165,7 +177,7 @@ std::uint64_t Network::delivery_events() const noexcept {
 }
 
 bool Network::find_edge(NetNodeId from, NetNodeId to, EdgeId& out) const {
-  for (EdgeId e : out_.at(from)) {
+  for (EdgeId e : out_edges(from)) {
     if (edges_[e].to == to) {
       out = e;
       return true;
@@ -214,12 +226,12 @@ void Network::send_after(EdgeId e, const Pulse& pulse, double extra) {
 }
 
 void Network::broadcast(NetNodeId from, const Pulse& pulse) {
-  const std::vector<EdgeId>& outs = out_.at(from);
+  const std::span<const EdgeId> outs = out_edges(from);
   if (shard_count_ > 1) {
     broadcast_sharded(from, pulse, outs);
     return;
   }
-  const double uniform = uniform_out_delay_[from];
+  const double uniform = adjacency_.uniform_out_delay[from];
   if (!modulation_ && outs.size() > 1 && !std::isnan(uniform)) {
     // All out-edges share one delay: a single queue event fans the pulse out
     // at fire time. Order-equivalent to the per-edge path (see the header).
@@ -231,9 +243,9 @@ void Network::broadcast(NetNodeId from, const Pulse& pulse) {
 }
 
 void Network::broadcast_sharded(NetNodeId from, const Pulse& pulse,
-                                const std::vector<EdgeId>& outs) {
+                                std::span<const EdgeId> outs) {
   const std::uint32_t src = node_shard_[from];
-  const double uniform = uniform_out_delay_[from];
+  const double uniform = adjacency_.uniform_out_delay[from];
   if (outs.size() > 1 && !std::isnan(uniform)) {
     // Batched fan-out splits: same-shard receivers keep the single
     // kBatchDeliver event (whose fan-out skips remote edges), cross-shard
@@ -344,7 +356,7 @@ void Network::on_timer(const Event& event) {
         ++delivery_events_;
       }
       Simulator& sim = sim_of(p.a);
-      for (EdgeId e : out_[p.a]) {
+      for (EdgeId e : adjacency().out.of(p.a)) {
         const Edge& edge = edges_[e];
         if (shard_count_ > 1 && node_shard_[edge.to] != src) continue;
         sink_or_defer(sim, src, edge.from, e, edge.to, p.i, event.time);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "support/check.hpp"
 
 namespace gtrix {
 
@@ -81,8 +82,16 @@ class Network final : public TimerTarget {
   double edge_delay(EdgeId e) const { return edges_.at(e).delay; }
   void set_edge_delay(EdgeId e, double delay);
 
-  std::span<const EdgeId> out_edges(NetNodeId node) const { return out_.at(node); }
-  std::span<const EdgeId> in_edges(NetNodeId node) const { return in_.at(node); }
+  /// A node's out- and in-edges in insertion order: spans into the CSR
+  /// adjacency (see adjacency()), valid until the next add_node/add_edge.
+  std::span<const EdgeId> out_edges(NetNodeId node) const {
+    GTRIX_CHECK(node < sinks_.size());
+    return adjacency().out.of(node);
+  }
+  std::span<const EdgeId> in_edges(NetNodeId node) const {
+    GTRIX_CHECK(node < sinks_.size());
+    return adjacency().in.of(node);
+  }
 
   /// Finds the edge from -> to; returns true and sets `out` on success.
   bool find_edge(NetNodeId from, NetNodeId to, EdgeId& out) const;
@@ -205,7 +214,7 @@ class Network final : public TimerTarget {
   /// Event kinds this target schedules. Payload conventions:
   ///   kDeliver:        a=from, b=edge, c=to, i=pulse stamp
   ///   kDeferredSend:   b=edge, i=pulse stamp
-  ///   kBatchDeliver:   a=from, i=pulse stamp (fans out over out_[from])
+  ///   kBatchDeliver:   a=from, i=pulse stamp (fans out over out_edges(from))
   ///   kFlushArrivals:  a=defer cell index (the executing shard)
   enum TimerKind : std::uint32_t {
     kDeliver = 1,
@@ -219,6 +228,37 @@ class Network final : public TimerTarget {
     NetNodeId to;
     double delay;
   };
+
+  /// Compressed sparse rows: node n's edges are edges[offsets[n] ..
+  /// offsets[n + 1]), in insertion order. Topology-agnostic and two flat
+  /// arrays per direction instead of one heap vector per node.
+  struct Csr {
+    std::vector<std::uint32_t> offsets;
+    std::vector<EdgeId> edges;
+
+    std::span<const EdgeId> of(NetNodeId node) const {
+      return {edges.data() + offsets[node], offsets[node + 1] - offsets[node]};
+    }
+  };
+
+  /// Out/in CSR plus, per node, the shared delay of all its out-edges (NaN
+  /// once any two differ; the broadcast fast path keys off it).
+  struct Adjacency {
+    Csr out;
+    Csr in;
+    std::vector<double> uniform_out_delay;
+  };
+
+  /// The adjacency of the current topology. Built from edges_ on the first
+  /// query after a topology change (counting sort, O(nodes + edges)), so
+  /// construction appends edges without per-node allocations; a finished
+  /// topology never rebuilds, and configure_shards builds it before any
+  /// worker thread can read it.
+  const Adjacency& adjacency() const {
+    if (adjacency_stale_) [[unlikely]] rebuild_adjacency();
+    return adjacency_;
+  }
+  void rebuild_adjacency() const;
 
   /// Per-shard message counters on private cache lines: each cell is only
   /// ever written by its own worker thread (sent by the sending shard,
@@ -260,8 +300,7 @@ class Network final : public TimerTarget {
                      NetNodeId to, std::int64_t stamp, SimTime t);
   void sink_pulse(NetNodeId from, EdgeId edge, NetNodeId to, std::int64_t stamp, SimTime t);
   void send_sharded(EdgeId e, const Pulse& pulse);
-  void broadcast_sharded(NetNodeId from, const Pulse& pulse,
-                         const std::vector<EdgeId>& outs);
+  void broadcast_sharded(NetNodeId from, const Pulse& pulse, std::span<const EdgeId> outs);
   void recompute_lookahead();
   Simulator& sim_of(NetNodeId node) {
     return shard_count_ <= 1 ? sim_ : *shard_sims_[node_shard_[node]];
@@ -270,12 +309,9 @@ class Network final : public TimerTarget {
   Simulator& sim_;
   std::vector<PulseSink*> sinks_;  // non-owning
   std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
-  /// Per node: the shared delay of all its out-edges, or NaN once any two
-  /// out-edge delays differ. Maintained by add_edge / set_edge_delay; the
-  /// broadcast fast path keys off it.
-  std::vector<double> uniform_out_delay_;
+  /// Derived from edges_ by adjacency(); stale after add_node/add_edge.
+  mutable Adjacency adjacency_;
+  mutable bool adjacency_stale_ = true;
   DelayModulation modulation_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

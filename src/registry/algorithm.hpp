@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/params.hpp"
@@ -76,7 +76,9 @@ struct NodeContext {
   Network& net;
   NetNodeId self;
   HardwareClock clock;
-  std::vector<NetNodeId> preds;  ///< own copy first (Grid::predecessors)
+  /// Own copy first (Grid::predecessors). Nodes keep the span, so the
+  /// storage must outlive them (World passes the Grid's).
+  std::span<const NetNodeId> preds;
   Params params;
   std::uint32_t diameter = 0;        ///< base-graph diameter D
   std::uint32_t trim = 0;            ///< trimmed-aggregation extension

@@ -321,9 +321,6 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
     const std::uint32_t column = base.column(grid_.base_of(g));
     HardwareClock clock = make_clock(clock_rng, column, layer);
 
-    const auto preds_span = grid_.predecessors(g);
-    std::vector<NetNodeId> preds(preds_span.begin(), preds_span.end());
-
     const auto fault_it = fault_map_.find(g);
     const FaultSpec* spec = fault_it == fault_map_.end() ? nullptr : &fault_it->second;
 
@@ -362,7 +359,7 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
     }
 
     auto model = algorithm_provider_->make_node(NodeContext{
-        sim_for(g), net_, g, std::move(clock), std::move(preds), config_.params, diameter,
+        sim_for(g), net_, g, std::move(clock), grid_.predecessors(g), config_.params, diameter,
         config_.trim, config_.self_stabilizing, config_.jump_condition, broadcast_offset,
         recorder_for(g), *arena_for(g)});
     if (spec != nullptr) install_fault(g, *spec, *model, fault_rng);

@@ -159,6 +159,9 @@ struct ConfigDraft {
   /// Path of the last explicit d or u value: the key blamed when the pair
   /// breaks 0 <= u < d.
   std::string delay_bound_path;
+  /// Path of the last explicit columns or layers value: the key blamed
+  /// when layers x columns overflows the node-id space.
+  std::string shape_path;
   std::optional<ParamsDerive> derive;
   std::optional<Layer0Pattern> layer0_pattern;
   std::optional<RandomFaultGen> random_faults;
@@ -441,6 +444,7 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
   } else if (key == "columns") {
     c.columns = read_u32(value, path);
     if (c.columns < 2) fail(path, "need at least 2 columns");
+    draft.shape_path = path;
   } else if (key == "cycle_reach") {
     draft.cycle_reach = read_u32(value, path);
   } else if (key == "trim") {
@@ -451,10 +455,12 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
         fail(path, "expected an int or \"columns\"");
       }
       draft.layers_track_columns = true;
+      draft.shape_path = path;
     } else {
       c.layers = read_u32(value, path);
       if (c.layers < 2) fail(path, "need at least 2 layers (layer 0 and one algorithm layer)");
       draft.layers_track_columns = false;
+      draft.shape_path = path;
     }
   } else if (key == "params") {
     for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
@@ -576,6 +582,18 @@ BaseGraph make_base_graph(const ExperimentConfig& config) {
 ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   ExperimentConfig& c = draft.config;
   if (draft.layers_track_columns) c.layers = c.columns;
+  // Every topology has at least `columns` base nodes, so layers x columns
+  // bounds the grid node count from below: an overflowing shape must fail
+  // here, before the generators and the topology check below build a
+  // graph for it (which would exhaust memory instead of failing).
+  try {
+    (void)checked_u32_mul(c.layers, c.columns,
+                          "grid node count (" + std::to_string(c.layers) + " layers x at least " +
+                              std::to_string(c.columns) + " base nodes)");
+  } catch (const std::overflow_error& e) {
+    throw JsonError(context + ": " + (draft.shape_path.empty() ? "columns" : draft.shape_path) +
+                    ": " + e.what());
+  }
 
   // A shorthand key must reach the experiment whatever spelling selected its
   // component (e.g. base_graph {"kind": "cycle"} plus a swept "cycle_reach"

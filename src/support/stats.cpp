@@ -225,7 +225,7 @@ RadixQuantiles::RadixQuantiles(std::vector<double> qs) : qs_(std::move(qs)), pre
 void RadixQuantiles::spill() {
   top_.assign(std::size_t{1} << 16, 0);
   for (const double x : gathered_) ++top_[std::bit_cast<std::uint64_t>(x) >> 48];
-  gathered_ = {};
+  gathered_ = std::vector<double>();
 }
 
 bool RadixQuantiles::next_pass() {
@@ -272,9 +272,15 @@ bool RadixQuantiles::next_pass() {
       population += r.bucket;
     }
   }
+  digit_bits_.fill(0);
+  for (const std::uint64_t prefix : prefixes_) {
+    digit_bits_[(prefix & 0xFFFF) >> 6] |= std::uint64_t{1} << (prefix & 63);
+  }
   gather_ = population <= kGatherCap;
-  top_ = {};  // released before the next histograms are touched
-  counts_ = {};
+  // Released before the next histograms are touched (move-assigning an
+  // empty vector frees the buffer; `= {}` would keep it).
+  top_ = std::vector<std::uint64_t>();
+  counts_ = std::vector<std::uint32_t>();
   if (gather_) {
     gathered_.reserve(population);
   } else {
@@ -336,7 +342,7 @@ void RadixQuantiles::select_gathered() {
     r.prefix = std::bit_cast<std::uint64_t>(*nth);
     first = nth;
   }
-  gathered_ = {};
+  gathered_ = std::vector<double>();
   done_ = true;
 }
 

@@ -1,6 +1,7 @@
 // Small statistics helpers used by metrics and benchmark harnesses.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -154,6 +155,10 @@ class RadixQuantiles {
       return;
     }
     const std::uint64_t prefix = bits >> (64 - 16 * pass_);
+    // One load and a rarely taken branch reject almost every sample: only
+    // prefixes whose last digit is in play reach the scan below.
+    const std::uint64_t digit = prefix & 0xFFFF;
+    if (((digit_bits_[digit >> 6] >> (digit & 63)) & 1) == 0) return;
     for (std::size_t g = 0; g < prefixes_.size(); ++g) {
       if (prefixes_[g] != prefix) continue;
       if (gather_) {
@@ -187,6 +192,8 @@ class RadixQuantiles {
   std::vector<double> qs_;
   std::vector<Rank> ranks_;              ///< the distinct ranks needed, ascending
   std::vector<std::uint64_t> prefixes_;  ///< distinct prefixes in play this pass
+  /// Bit d is set when some prefix in play ends in the 16-bit digit d.
+  std::array<std::uint64_t, (std::size_t{1} << 16) / 64> digit_bits_{};
   std::vector<std::uint64_t> top_;       ///< first pass: 2^16 buckets of the top digit
   std::vector<std::uint32_t> counts_;    ///< later passes: 2^16 buckets per prefix
   std::vector<double> gathered_;         ///< samples kept for the final selection

@@ -4,7 +4,9 @@
 A malformed scenario, a config the engine cannot run and a sweep past the
 expansion limit must all be rejected up front (at --dry-run): exit status 2
 and a path-qualified message on stderr, never a crash, an allocation
-failure or exit 1. A flag whose value is not a number exits 2 as well --
+failure or exit 1. The scenario cases run under an address-space limit
+(ulimit -v) unless the binary is sanitizer-instrumented, so a shape that
+allocates before it is checked fails fast instead of exhausting the host. A flag whose value is not a number exits 2 as well --
 in gtrix_campaign and in the example and bench binaries, which share
 run_cli (src/support/flags.hpp).
 
@@ -15,6 +17,7 @@ name.
 """
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -46,11 +49,18 @@ CASES = {
                    "pulses": {"from": 1, "count": 100000}}},
         "$.sweep.pulses: sweep expands to more than",
     ),
+    "huge-topology": (
+        {"name": "huge-topology", "config": {"columns": 100000000, "layers": 100000000}},
+        "$.config.layers: grid node count (100000000 layers x at least 100000000 base nodes)",
+    ),
     "huge-axis": (
         {"name": "huge-axis", "sweep": {"seed": {"from": 1, "count": 10000000000}}},
         "$.sweep.seed.count: range count",
     ),
 }
+
+# Address-space ceiling for the scenario cases: a dry run needs a few MB.
+ADDRESS_SPACE_LIMIT = 2 << 30
 
 # Command lines (after the binary) that must exit 2 naming the bad flag.
 FLAG_CASES = {
@@ -80,18 +90,31 @@ def check(name, proc, expected):
     return 0
 
 
+def sanitized(binary):
+    """ASan and TSan reserve terabytes of shadow memory up front, so an
+    instrumented binary cannot start under an address-space limit."""
+    data = pathlib.Path(binary).read_bytes()
+    return b"__asan_init" in data or b"__tsan_init" in data
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
     binary = argv[1]
     failures = 0
+    limit = None if sanitized(binary) else limit_address_space
     with tempfile.TemporaryDirectory() as tmp:
         for name, (doc, expected) in CASES.items():
             path = pathlib.Path(tmp) / f"{name}.json"
             path.write_text(json.dumps(doc))
             proc = subprocess.run([binary, str(path), "--dry-run", f"--out={tmp}/out"],
-                                  capture_output=True, text=True, timeout=60)
+                                  capture_output=True, text=True, timeout=60,
+                                  preexec_fn=limit)
             failures += check(name, proc, expected)
         for name, (args, expected) in FLAG_CASES.items():
             proc = subprocess.run([binary, *args, f"--out={tmp}/out"],

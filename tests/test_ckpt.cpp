@@ -230,6 +230,56 @@ TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
   }
 }
 
+TEST(Ckpt, PostAnchorSnapshotRestoresReleasedStreamingLanes) {
+  // The corruption anchor's first suppressed pulse releases the streaming
+  // accumulator's per-node lanes. A snapshot taken after that carries them
+  // empty; restoring it into a fresh World (whose lanes start allocated)
+  // must release them again and finish to the same campaign JSONL bytes as
+  // the uninterrupted run.
+  const ExperimentConfig config = corrupt_streaming_config();
+  const CorruptPlan plan = corrupt_plan();
+  const double save_t = 12.0 * config.params.lambda;  // two waves past the anchor
+  const auto run_corrupt = [&](World& world, double until) {
+    world.set_corruption_anchor(plan.wave);
+    Rng rng(config.seed ^ 0xFEED);  // run_cell's derivation
+    world.run_until(plan.wave * config.params.lambda);
+    world.corrupt_fraction(plan.fraction, rng);
+    world.run_until(until);
+  };
+  const auto jsonl = [&](const ExperimentResult& result) {
+    CampaignResult campaign;
+    campaign.scenario = "post-anchor";
+    campaign.cells.push_back(CampaignCell{"base", config, plan, result});
+    return campaign_jsonl(campaign);
+  };
+
+  for (const std::uint32_t shards : {1u, 2u}) {
+    EngineOptions engine;
+    engine.shards = shards;
+    const std::string tag = std::to_string(shards) + " shards";
+    std::string baseline;
+    std::vector<std::uint8_t> image;
+    std::uint64_t saved_bytes = 0;
+    {
+      World world(config, engine);
+      run_corrupt(world, save_t);
+      ASSERT_TRUE(world.streaming()->lanes_released()) << tag;
+      saved_bytes = world.streaming()->memory_bytes();
+      image = world.checkpoint_save("");
+      world.run_to_completion();
+      baseline = jsonl(measure_cell(world, config, plan));
+    }
+    World resumed(config, engine);
+    resumed.set_corruption_anchor(plan.wave);
+    EXPECT_FALSE(resumed.streaming()->lanes_released()) << tag;
+    resumed.checkpoint_restore(CkptFile::parse(image, "post-anchor.ckpt"));
+    EXPECT_TRUE(resumed.streaming()->lanes_released()) << tag;
+    EXPECT_EQ(resumed.streaming()->memory_bytes(), saved_bytes) << tag;
+    resumed.run_to_completion();
+    EXPECT_EQ(jsonl(measure_cell(resumed, config, plan)), baseline) << tag;
+  }
+}
+
 TEST(Ckpt, HardFailuresNameTheFileAndTheCause) {
   const ExperimentConfig config = tiny_config();
   World world(config, {});
@@ -255,13 +305,13 @@ TEST(Ckpt, HardFailuresNameTheFileAndTheCause) {
   bad_version[8] = 0x2A;  // u32 version lives right after the 8-byte magic
   expect_throw_with(bad_version, "version 42 is not supported");
 
-  // Version 2 (engine fingerprint with the retired scheduler / batching /
-  // arena / metrics / loop gates) is rejected by the same version check.
-  ASSERT_EQ(kCkptFormatVersion, 3u);
-  std::vector<std::uint8_t> v2 = image;
-  v2[8] = 0x02;
-  expect_throw_with(v2, "checkpoint format version 2 is not supported (this build reads "
-                        "version 3)");
+  // Version 3 (streaming-skew lanes always saved whole) is rejected by the
+  // same version check.
+  ASSERT_EQ(kCkptFormatVersion, 4u);
+  std::vector<std::uint8_t> v3 = image;
+  v3[8] = 0x03;
+  expect_throw_with(v3, "checkpoint format version 3 is not supported (this build reads "
+                        "version 4)");
 
   std::vector<std::uint8_t> truncated(image.begin(), image.begin() + image.size() / 2);
   expect_throw_with(truncated, "checkpoint");
@@ -339,6 +389,50 @@ TEST(Ckpt, PatchedRecorderCountWithValidCrcIsRejected) {
   } catch (const CkptError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'recorder' declares 18014398509481984 elements"), std::string::npos)
+        << what;
+  }
+}
+
+TEST(Ckpt, ReleasedStreamingLanesWithoutASuppressedPulseAreRejected) {
+  // Released lanes are legal only after a suppressed pulse; a section that
+  // claims otherwise (CRC recomputed) must fail before the next pulse would
+  // index the empty lanes.
+  const ExperimentConfig config = corrupt_streaming_config();
+  const CorruptPlan plan = corrupt_plan();
+  std::vector<std::uint8_t> image;
+  {
+    World world(config, {});
+    world.set_corruption_anchor(plan.wave);
+    Rng rng(config.seed ^ 0xFEED);
+    world.run_until(plan.wave * config.params.lambda);
+    world.corrupt_fraction(plan.fraction, rng);
+    world.run_until(12.0 * config.params.lambda);
+    ASSERT_TRUE(world.streaming()->lanes_released());
+    image = world.checkpoint_save("");
+  }
+  const std::vector<std::uint8_t> frame = {9,   0,   0,   0,   's', 't', 'r',
+                                           'e', 'a', 'm', 'i', 'n', 'g'};
+  const auto at = std::search(image.begin(), image.end(), frame.begin(), frame.end());
+  ASSERT_NE(at, image.end());
+  // Streaming body: six empty per-node lanes (a count each), the intra /
+  // inter / spread layer vectors, the empty layer ring, then pairs_checked,
+  // window_overflows, out_of_order and the suppressed count.
+  const std::size_t layers = config.layers;
+  const std::size_t suppressed_at = static_cast<std::size_t>(at - image.begin()) +
+                                    frame.size() + 8 + 6 * 8 + (8 + 8 * layers) +
+                                    (8 + 8 * (layers - 1)) + (8 + 8 * layers) + 8 + 3 * 8;
+  for (std::size_t i = 0; i < 8; ++i) image[suppressed_at + i] = 0;
+  const std::uint32_t crc = ckpt_crc32(image.data(), image.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) image[image.size() - 4 + i] = (crc >> (8 * i)) & 0xFF;
+
+  World target(config, {});
+  target.set_corruption_anchor(plan.wave);
+  try {
+    target.checkpoint_restore(CkptFile::parse(image, "patched.ckpt"));
+    FAIL() << "expected CkptError";
+  } catch (const CkptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("lanes are released but no pulse was suppressed"), std::string::npos)
         << what;
   }
 }

@@ -5,6 +5,7 @@
 // watchdog, and duplicate handling -- independent of the full grid.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <optional>
 
@@ -26,6 +27,7 @@ struct NodeHarness {
   Recorder recorder;
   NodeArena arena;
   NetNodeId own_pred, nbr_a, nbr_b, self;
+  std::array<NetNodeId, 3> preds{};  // the node keeps a span into this
   std::optional<GradientTrixNode> node;
   Params params = Params::with(1000.0, 10.0, 1.0005);
 
@@ -37,8 +39,8 @@ struct NodeHarness {
     recorder.register_node(self, {});
     config.params = params;
     if (config.skew_bound_hint == 0.0) config.skew_bound_hint = params.thm11_bound(15);
-    node.emplace(sim, net, self, HardwareClock(1.0, 0.0),
-                 std::vector<NetNodeId>{own_pred, nbr_a, nbr_b}, config, &recorder,
+    preds = {own_pred, nbr_a, nbr_b};
+    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, config, &recorder,
                  arena.gradient);
     net.set_sink(self, &*node);
   }
@@ -388,8 +390,7 @@ TEST(NodeUnit, DriftingClockStretchesWait) {
   GradientNodeConfig config;
   NodeHarness h(config);
   // Re-create the node with a fast clock.
-  h.node.emplace(h.sim, h.net, h.self, HardwareClock(h.params.theta, 0.0),
-                 std::vector<NetNodeId>{h.own_pred, h.nbr_a, h.nbr_b},
+  h.node.emplace(h.sim, h.net, h.self, HardwareClock(h.params.theta, 0.0), h.preds,
                  [&] {
                    GradientNodeConfig c;
                    c.params = h.params;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 
 #include "baseline/lw_grid.hpp"
@@ -464,7 +465,8 @@ TEST(LynchWelchGrid, PredecessorRunningTwoWavesAheadDoesNotStallTheNode) {
   const NetNodeId b = net.add_node();
   const NetNodeId lw = net.add_node();
   NodeArena arena;
-  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), {a, b},
+  const std::array<NetNodeId, 2> preds{a, b};
+  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), preds,
                           Params::with(1000.0, 10.0, 1.0005), 0, nullptr, arena.lw);
   net.set_sink(lw, &node);
   // Wave 0 completes; A then runs two waves ahead before the node fires.
