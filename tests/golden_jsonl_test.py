@@ -7,9 +7,14 @@ two shards per cell -- through gtrix_campaign:
   * quick-shape cuts of the three scale builtins (tests/golden/*-quick.json,
     bench_scale --quick's reshape), each under its own recording spec and
     under the --recording=full and --recording=windowed overrides;
-  * one resumed run: thm16-stabilization with --checkpoint-dir, its done
-    files deleted, then rerun with --resume, so every cell restores from
-    its newest snapshot and finishes from there.
+  * tests/golden/send-faults-quick.json, one node of every fault kind
+    (crash, fixed-period, static-offset, split, jitter, mute-after);
+  * two resumed runs: thm16-stabilization and send-faults-quick with
+    --checkpoint-dir, their done files deleted, then rerun with --resume,
+    so every cell restores from its newest snapshot and finishes from
+    there. send-faults-quick snapshots every 30000 time units, so its
+    snapshot lands mid-run with the jitter streams and the mute-after
+    counter part-way through.
 The SHA-256 of every emitted JSONL file is compared against the committed
 digests in tests/golden/jsonl.sha256 (a "@mode" suffix names the recording
 override or the resumed run). Any byte of drift in a result, a serialized
@@ -63,6 +68,8 @@ SCALE_RECORDINGS = [None, "full", "windowed"]
 
 RESUMED = "thm16-stabilization"
 
+SEND_FAULTS = "send-faults-quick"
+
 
 def campaign(binary, args, shape, out_dir):
     subprocess.run([binary, *args, "--quiet", f"--out={out_dir}", *shape],
@@ -72,6 +79,20 @@ def campaign(binary, args, shape, out_dir):
 def digest(out_dir, name):
     path = pathlib.Path(out_dir) / f"{name}.jsonl"
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def resumed_digest(binary, args, name, shape, out_dir):
+    """Runs with checkpoints, deletes the done files and reruns with
+    --resume, so every cell finishes from its newest snapshot."""
+    ckpt = [*args, f"--checkpoint-dir={out_dir}/ckpt"]
+    campaign(binary, ckpt, shape, out_dir)
+    done = list(pathlib.Path(f"{out_dir}/ckpt").rglob("*.done.json"))
+    if not done:
+        raise RuntimeError(f"checkpointed {name} run left no done files to delete")
+    for path in done:
+        path.unlink()
+    campaign(binary, [*ckpt, "--resume"], shape, out_dir)
+    return digest(out_dir, name)
 
 
 def run_shape(binary, shape, out_dir):
@@ -88,16 +109,15 @@ def run_shape(binary, shape, out_dir):
         for name in SCALE_SCENARIOS:
             digests[f"{name}@{mode}" if mode else name] = digest(mode_dir, name)
 
-    resume_dir = f"{out_dir}/resumed"
-    ckpt = [RESUMED, "--recording=full", f"--checkpoint-dir={out_dir}/ckpt"]
-    campaign(binary, ckpt, shape, resume_dir)
-    done = list(pathlib.Path(f"{out_dir}/ckpt").rglob("*.done.json"))
-    if not done:
-        raise RuntimeError("checkpointed run left no done files to delete")
-    for path in done:
-        path.unlink()
-    campaign(binary, [*ckpt, "--resume"], shape, resume_dir)
-    digests[f"{RESUMED}@resumed"] = digest(resume_dir, RESUMED)
+    digests[f"{RESUMED}@resumed"] = resumed_digest(
+        binary, [RESUMED, "--recording=full"], RESUMED, shape, f"{out_dir}/resumed")
+
+    send = str(GOLDEN_DIR / f"{SEND_FAULTS}.json")
+    campaign(binary, [send], shape, f"{out_dir}/send")
+    digests[SEND_FAULTS] = digest(f"{out_dir}/send", SEND_FAULTS)
+    digests[f"{SEND_FAULTS}@resumed"] = resumed_digest(
+        binary, [send, "--checkpoint-every=30000"], SEND_FAULTS, shape,
+        f"{out_dir}/send-resumed")
     return digests
 
 
