@@ -8,15 +8,15 @@ namespace gtrix {
 
 LynchWelchGridNode::LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self,
                                        HardwareClock clock, std::span<const NetNodeId> preds,
-                                       Params params, std::uint32_t trim, Recorder* recorder,
+                                       const AlgorithmSettings& settings, Recorder* recorder,
                                        LwSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       preds_(preds),
-      params_(params),
-      trim_(trim),
+      params_(&settings.params),
+      trim_(settings.trim),
       recorder_(recorder) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "LW grid node needs at least 2 predecessors");
   // Clamp so the trimmed window keeps at least its two extremes.
@@ -70,7 +70,7 @@ void LynchWelchGridNode::process(NetNodeId from, LocalTime h, Sigma sigma) {
   std::sort(scratch.begin(), scratch.end());
   const LocalTime lo = scratch[trim_];
   const LocalTime hi = scratch[scratch.size() - 1 - trim_];
-  const LocalTime target = (lo + hi) / 2.0 + params_.lambda - params_.d;
+  const LocalTime target = (lo + hi) / 2.0 + params_->lambda - params_->d;
   fire_timer() = sim_.at(clock_.to_real(std::max(target, clock_.to_local(sim_.now()))), this,
                          kFire, EventPayload{});
 }

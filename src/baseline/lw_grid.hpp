@@ -30,19 +30,18 @@ namespace gtrix {
 class LynchWelchGridNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the predecessors' network ids, own copy first (exactly
-  /// Grid::predecessors), and must outlive the node. `trim` receptions are
-  /// discarded on each side; it is clamped so at least two receptions
-  /// survive. Hot per-wave state and the pending queue live in `soa` (a
-  /// NodeArena's lw lanes).
+  /// Grid::predecessors); it and `settings` must outlive the node.
+  /// settings.trim receptions are discarded on each side, clamped so at
+  /// least two receptions survive. Hot per-wave state and the pending queue
+  /// live in `soa` (a NodeArena's lw lanes).
   LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                     std::span<const NetNodeId> preds, Params params, std::uint32_t trim,
+                     std::span<const NetNodeId> preds, const AlgorithmSettings& settings,
                      Recorder* recorder, LwSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
   void on_timer(const Event& event) override;
 
   std::uint64_t pulses_forwarded() const noexcept { return forwarded_; }
-  std::uint32_t effective_trim() const noexcept { return trim_; }
 
   /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
   /// pending queue and forwarded counter.
@@ -76,8 +75,8 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   NetNodeId self_;
   HardwareClock clock_;
   std::span<const NetNodeId> preds_;
-  Params params_;
-  std::uint32_t trim_;
+  const Params* params_;  // the World's shared settings
+  std::uint32_t trim_;    // settings.trim, clamped to this node's degree
   Recorder* recorder_;
 
   LwSoa* soa_;

@@ -6,13 +6,14 @@ namespace gtrix {
 
 TrixNaiveNode::TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self,
                              HardwareClock clock, std::span<const NetNodeId> preds,
-                             Params params, Recorder* recorder, TrixSoa& soa)
+                             const AlgorithmSettings& settings, Recorder* recorder,
+                             TrixSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       preds_(preds),
-      params_(params),
+      params_(&settings.params),
       recorder_(recorder) {
   GTRIX_CHECK_MSG(preds_.size() >= 2 && preds_.size() <= kMaxSlots,
                   "naive TRIX node needs 2..5 predecessors");
@@ -52,7 +53,7 @@ void TrixNaiveNode::process(NetNodeId from, LocalTime h, Sigma sigma, SimTime /*
     // Second copy: forward after the nominal wait (the paper's "wait for
     // the second copy of each pulse before forwarding", Fig. 1).
     armed() = 1;
-    const LocalTime target = h + params_.lambda - params_.d;
+    const LocalTime target = h + params_->lambda - params_->d;
     fire_timer() =
         sim_.at(clock_.to_real(target), this, kFire, EventPayload{.f = target});
   }

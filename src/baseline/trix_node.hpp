@@ -21,11 +21,12 @@ namespace gtrix {
 
 class TrixNaiveNode final : public PulseSink, public TimerTarget {
  public:
-  /// `preds` (own copy first) must outlive the node. Hot per-wave state and
-  /// the pending queue live in `soa` (a NodeArena's trix lanes).
+  /// `preds` (own copy first) and `settings` must outlive the node. Hot
+  /// per-wave state and the pending queue live in `soa` (a NodeArena's trix
+  /// lanes).
   TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                std::span<const NetNodeId> preds, Params params, Recorder* recorder,
-                TrixSoa& soa);
+                std::span<const NetNodeId> preds, const AlgorithmSettings& settings,
+                Recorder* recorder, TrixSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
 
@@ -65,7 +66,7 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   NetNodeId self_;
   HardwareClock clock_;
   std::span<const NetNodeId> preds_;
-  Params params_;
+  const Params* params_;  // the World's shared settings
   Recorder* recorder_;
 
   TrixSoa* soa_;

@@ -58,7 +58,7 @@ void read_pending(CkptCursor& cur, PendingQueues& queues, std::uint32_t q, std::
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 408);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 328);
   GTRIX_CKPT_FIELDS(Counters, 8);
   w.u8(soa_->phase[i_]);
   w.f64(h_own());
@@ -133,7 +133,7 @@ void Layer0LineNode::checkpoint_restore(CkptCursor& cur) {
 // --- TrixNaiveNode -----------------------------------------------------------
 
 void TrixNaiveNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 168);
+  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 144);
   w.u8(soa_->armed[i_]);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);
@@ -162,7 +162,7 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
 // --- LynchWelchGridNode ------------------------------------------------------
 
 void LynchWelchGridNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 176);
+  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 152);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);
   w.u64(preds_.size());

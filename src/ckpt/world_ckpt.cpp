@@ -4,6 +4,7 @@
 // pure construction order -- network, layer-0 generators, then grid nodes
 // ascending -- so a fresh World built from the same config enumerates the
 // identical sequence and pointer ids round-trip as dense indices.
+#include <algorithm>
 #include <string>
 
 #include "ckpt/codec.hpp"
@@ -26,6 +27,11 @@ enum NodeTag : std::uint8_t {
   kTagRogue = 3,      // fixed-period babbler
   kTagCrash = 4,      // crash sink
 };
+
+std::uint64_t stateful_count(const std::vector<SendFault>& faults) {
+  return static_cast<std::uint64_t>(std::count_if(
+      faults.begin(), faults.end(), [](const SendFault& f) { return f.has_state(); }));
+}
 
 }  // namespace
 
@@ -105,11 +111,13 @@ std::vector<std::uint8_t> World::checkpoint_save(const std::string& meta_json) c
   }
   w.end_section();
 
+  // One (rng, sent) pair per jitter or mute-after node, in grid order.
   w.begin_section("faults");
-  w.u64(fault_runtimes_.size());
-  for (const auto& rt : fault_runtimes_) {
-    rt->rng.checkpoint_save(w);
-    w.i64(rt->sent);
+  w.u64(stateful_count(send_faults_));
+  for (const SendFault& f : send_faults_) {
+    if (!f.has_state()) continue;
+    f.rng.checkpoint_save(w);
+    w.i64(f.sent);
   }
   w.end_section();
 
@@ -205,14 +213,15 @@ void World::checkpoint_restore(const CkptFile& file) {
   {
     CkptCursor cur = file.section("faults");
     const std::uint64_t nfaults = cur.u64();
-    if (nfaults != fault_runtimes_.size()) {
+    const std::uint64_t want = stateful_count(send_faults_);
+    if (nfaults != want) {
       throw CkptError(file.path() + ": checkpoint has " + std::to_string(nfaults) +
-                      " fault runtime(s), this configuration has " +
-                      std::to_string(fault_runtimes_.size()));
+                      " send-fault state(s), this configuration has " + std::to_string(want));
     }
-    for (const auto& rt : fault_runtimes_) {
-      rt->rng.checkpoint_restore(cur);
-      rt->sent = cur.i64();
+    for (SendFault& f : send_faults_) {
+      if (!f.has_state()) continue;
+      f.rng.checkpoint_restore(cur);
+      f.sent = cur.i64();
     }
     cur.expect_done();
   }

@@ -13,17 +13,21 @@ constexpr double kGuardSlack = 1e-9;  // float-noise tolerance in guard checks
 
 GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
                                    HardwareClock clock, std::span<const NetNodeId> preds,
-                                   GradientNodeConfig config, Recorder* recorder,
-                                   GradientSoa& soa)
+                                   const AlgorithmSettings& settings, bool simplified,
+                                   SendFault* fault, Recorder* recorder, GradientSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
+      simplified_(simplified),
       clock_(std::move(clock)),
       preds_(preds),
-      config_(config),
+      settings_(&settings),
+      fault_(fault),
       recorder_(recorder) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "node needs its own copy plus >= 1 neighbour");
   GTRIX_CHECK_MSG(preds_.size() <= kMaxSlots, "too many predecessors");
+  GTRIX_CHECK_MSG(2 * std::size_t{settings.trim} < preds_.size() - 1,
+                  "trim too large for degree");
   soa_ = &soa;
   i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
   slot_base_ = soa_->slot_base[i_];
@@ -90,11 +94,10 @@ void GradientTrixNode::process_message(NetNodeId from, LocalTime h, Sigma sigma,
       std::size_t seen_before = 0;
       for (std::size_t i = 1; i < preds_.size(); ++i) seen_before += r(i) ? 1U : 0U;
       const std::size_t degree = preds_.size() - 1;
-      const std::size_t trim = config_.trim;
-      GTRIX_CHECK_MSG(2 * trim < degree, "trim too large for degree");
+      const std::size_t trim = settings_->trim;
       if (seen_before == trim) {
         h_min() = h;
-        if (config_.self_stabilizing || config_.startup_watchdog) arm_watchdog();
+        arm_watchdog();
       }
       r(uslot) = 1;
       seen(uslot) = 1;
@@ -116,9 +119,9 @@ std::pair<LocalTime, LocalTime> GradientTrixNode::thresholds() const {
   // would not be equivalent to Algorithm 1, contradicting Lemma B.2).
   // thr2 (2 H_own - H_min + 2 kappa) is the symmetric wait for the last
   // neighbour once the own copy is known.
-  const double kappa = config_.params.kappa();
+  const double kappa = settings_->params.kappa();
   const LocalTime thr1 = (!std::isfinite(h_own()) && std::isfinite(h_max()))
-                             ? h_max() + kappa / 2.0 + config_.params.theta * kappa
+                             ? h_max() + kappa / 2.0 + settings_->params.theta * kappa
                              : kLocalInfinity;
   const LocalTime thr2 = (std::isfinite(h_own()) && std::isfinite(h_min()))
                              ? 2.0 * h_own() - h_min() + 2.0 * kappa
@@ -127,7 +130,7 @@ std::pair<LocalTime, LocalTime> GradientTrixNode::thresholds() const {
 }
 
 void GradientTrixNode::update_until(SimTime now, LocalTime now_local) {
-  if (config_.simplified) {
+  if (simplified_) {
     // Algorithm 1: wait until H_own, H_min, H_max are all known.
     if (std::isfinite(h_own()) && std::isfinite(h_min()) && std::isfinite(h_max())) {
       exit_collect(now, now_local);
@@ -165,8 +168,8 @@ void GradientTrixNode::arm_watchdog() {
   // time; if neither the own-copy nor the last neighbour pulse shows up, the
   // stored partial state stems from a spurious message and is cleared.
   sim_.cancel(watchdog_timer());
-  const double interval =
-      config_.params.theta * (2.0 * config_.skew_bound_hint + config_.params.u);
+  const Params& p = settings_->params;
+  const double interval = p.theta * (2.0 * settings_->skew_bound_hint + p.u);
   const LocalTime fire_local = clock_.to_local(sim_.now()) + interval;
   watchdog_timer() = sim_.at(clock_.to_real(fire_local), this, kWatchdogTimer);
 }
@@ -204,8 +207,9 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
   sim_.cancel(until_timer());
   sim_.cancel(watchdog_timer());
 
-  const Params& p = config_.params;
+  const Params& p = settings_->params;
   const double kappa = p.kappa();
+  const double shift = fault_ != nullptr ? fault_->shift : 0.0;
 
   IterationRecord rec;
   rec.sigma = estimate_sigma();
@@ -220,7 +224,7 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     rec.slot_seen[i] = seen(i) != 0;
   }
 
-  const bool branch1 = !config_.simplified && !std::isfinite(h_own());
+  const bool branch1 = !simplified_ && !std::isfinite(h_own());
 
   if (branch1) {
     // Algorithm 3 first branch: the own-copy pulse never showed up before
@@ -228,14 +232,14 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     // neighbour reception instead: H_max + 3 kappa/2 + Lambda - d.
     rec.timeout_branch = true;
     ++counters_.timeout_branches;
-    if (config_.self_stabilizing && h_max() > now_local + kGuardSlack) {
+    if (settings_->self_stabilizing && h_max() > now_local + kGuardSlack) {
       ++counters_.guard_aborts;  // corrupted state: reception in the future
       finish_iteration_without_pulse(now);
       return;
     }
     const LocalTime target = h_max() + 1.5 * kappa + p.lambda - p.d;
     rec.correction = 0.0;  // no own reference; no correction defined
-    schedule_broadcast(now, target + config_.broadcast_offset, rec);
+    schedule_broadcast(now, target + shift, rec);
     return;
   }
 
@@ -257,12 +261,12 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     // h_max < h_min can only result from corrupted state (receptions are
     // processed in arrival order); clamp so the computation stays defined.
     const double h_max_eff = std::max(h_max(), h_min());
-    c = compute_correction(h_own(), h_min(), h_max_eff, p, config_.jump_condition);
+    c = compute_correction(h_own(), h_min(), h_max_eff, p, settings_->jump_condition);
   }
   rec.correction = c.value;
   const LocalTime target = h_own() + p.lambda - p.d - c.value;
 
-  if (config_.self_stabilizing) {
+  if (settings_->self_stabilizing) {
     const bool future_own = h_own() > now_local + kGuardSlack;
     const bool future_min = c.value < 0.0 && h_min() > now_local + kGuardSlack;
     const bool absurd_wait = target > now_local + (p.lambda - p.d) + kGuardSlack;
@@ -272,7 +276,7 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
       return;
     }
   }
-  schedule_broadcast(now, target + config_.broadcast_offset, rec);
+  schedule_broadcast(now, target + shift, rec);
 }
 
 void GradientTrixNode::finish_iteration_without_pulse(SimTime now) {
@@ -311,8 +315,8 @@ void GradientTrixNode::do_broadcast(SimTime now, LocalTime fire_local) {
     recorder_->record_iteration(self_, staged_record_);
   }
   ++counters_.iterations;
-  if (send_override_) {
-    send_override_(pulse, now);
+  if (fault_ != nullptr) {
+    emit_pulse(*fault_, net_, pulse);
   } else {
     net_.broadcast(self_, pulse);
   }
@@ -375,7 +379,7 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
   reset_iteration_state();
   pending().clear(i_);
   const LocalTime now_local = clock_.to_local(sim_.now());
-  const double lambda = config_.params.lambda;
+  const double lambda = settings_->params.lambda;
   const Sigma bogus_sigma = rng.uniform_int(-4, 4);
 
   if (rng.bernoulli(0.5)) {

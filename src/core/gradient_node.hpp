@@ -7,8 +7,12 @@
 //    predecessor via the timeout condition
 //        H_min < inf  and  H(t) >= min{ H_max + kappa/2 + theta kappa,
 //                                       2 H_own - H_min + 2 kappa },
-//  * Algorithm 4 (self-stabilizing; Appendix C) -- adds the watchdog that
-//    clears half-filled state and guards on every waiting statement.
+//  * Algorithm 4 (self-stabilizing; Appendix C) -- adds guards on every
+//    waiting statement.
+// The Appendix C watchdog that clears half-filled state is armed in every
+// mode: it has no effect after stabilization (Observation C.4) but lets deep
+// layers cold-start under Appendix-A line input, where early iterations
+// would otherwise group pulses of different waves.
 //
 // In each iteration the node timestamps its predecessors' pulses with its
 // hardware clock, computes the correction C_{v,l} (see core/correction.hpp)
@@ -17,13 +21,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/correction.hpp"
 #include "core/node_state.hpp"
 #include "core/params.hpp"
+#include "fault/behaviors.hpp"
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -31,57 +35,20 @@
 
 namespace gtrix {
 
-struct GradientNodeConfig {
-  Params params;
-
-  /// Algorithm 1 instead of Algorithm 3. Requires fault-free predecessors.
-  bool simplified = false;
-
-  /// Algorithm 4 wait-statement guards (Appendix C).
-  bool self_stabilizing = false;
-
-  /// Appendix C watchdog: once the first neighbour pulse of an iteration is
-  /// stored, the own-copy or last-neighbour pulse must follow within
-  /// theta (2 L + u) local time or the stored state is stale and cleared.
-  /// Has no effect after stabilization (Observation C.4) but is required to
-  /// recover from arbitrary initial conditions -- including cold start of
-  /// deep layers under Appendix-A line input, where early iterations would
-  /// otherwise group pulses of different waves. On by default.
-  bool startup_watchdog = true;
-
-  /// Jump condition (Definition 4.5). Disabling reproduces Figure 5.
-  bool jump_condition = true;
-
-  /// Estimate \bar{L} of the steady-state local skew, used by the
-  /// self-stabilization watchdog interval theta (2 \bar{L} + u). Callers
-  /// typically pass params.thm11_bound(D).
-  double skew_bound_hint = 0.0;
-
-  /// Static shift applied to the broadcast time (local units). Zero for
-  /// correct nodes; fault wrappers use it to model static delay faults.
-  double broadcast_offset = 0.0;
-
-  /// EXTENSION (paper "Bigger Picture" item 3): trimmed aggregation.
-  /// H_min is the (trim+1)-th earliest neighbour reception and H_max the
-  /// (deg - trim)-th, so `trim` outliers on each side cannot influence the
-  /// correction at all. trim = 0 is the paper's algorithm. With trim = 1 on
-  /// an in-degree-5 grid (cycle_wide reach 2), a node withstands a faulty
-  /// own copy plus one arbitrary neighbour, or two neighbours pulling in
-  /// opposite directions. Requires 2 * trim < neighbour count.
-  std::uint32_t trim = 0;
-};
-
 class GradientTrixNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the network ids of the predecessors, own copy first --
   /// exactly Grid::predecessors mapped to network ids. The node keeps the
-  /// span, so its storage must outlive the node (World passes the Grid's).
-  /// The clock is owned. Hot per-iteration state and the pending-message
-  /// queue live in `soa` (a NodeArena's gradient lanes, see
-  /// core/node_state.hpp).
+  /// span and a pointer to `settings`, so both must outlive the node (World
+  /// passes the Grid's span and its own settings). `simplified` selects
+  /// Algorithm 1 instead of Algorithm 3 (requires fault-free predecessors).
+  /// `fault` is null for a correct node; a faulty one shifts its broadcast
+  /// and sends through fault/behaviors.hpp's emit_pulse. The clock is
+  /// owned. Hot per-iteration state and the pending-message queue live in
+  /// `soa` (a NodeArena's gradient lanes, see core/node_state.hpp).
   GradientTrixNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                   std::span<const NetNodeId> preds, GradientNodeConfig config,
-                   Recorder* recorder, GradientSoa& soa);
+                   std::span<const NetNodeId> preds, const AlgorithmSettings& settings,
+                   bool simplified, SendFault* fault, Recorder* recorder, GradientSoa& soa);
 
   GradientTrixNode(const GradientTrixNode&) = delete;
   GradientTrixNode& operator=(const GradientTrixNode&) = delete;
@@ -93,11 +60,6 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   /// cancelling invalidates the handle, so no generation bookkeeping is
   /// needed at this level.
   void on_timer(const Event& event) override;
-
-  /// Replaces the default broadcast with a custom emitter (fault wrappers).
-  /// Arguments: the pulse the node would have broadcast, and the time.
-  using SendOverride = std::function<void(const Pulse&, SimTime)>;
-  void set_send_override(SendOverride fn) { send_override_ = std::move(fn); }
 
   /// Randomizes all mutable state (phase, reception times, flags, timers)
   /// to model a transient fault / arbitrary initial state (Theorem 1.6).
@@ -177,11 +139,12 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
+  bool simplified_;  // Algorithm 1 instead of Algorithm 3
   HardwareClock clock_;
   std::span<const NetNodeId> preds_;  // slot order; [0] is the own copy
-  GradientNodeConfig config_;
-  Recorder* recorder_;  // non-owning; may be null
-  SendOverride send_override_;
+  const AlgorithmSettings* settings_;  // shared by every node of the World
+  SendFault* fault_;                   // null for a correct node
+  Recorder* recorder_;                 // non-owning; may be null
 
   // SoA residency: the arena's gradient lanes. Timer handles and the
   // pending queue live there too; handles go stale automatically when a

@@ -60,4 +60,28 @@ struct Params {
   bool operator==(const Params&) const = default;
 };
 
+/// The algorithm settings every node of one World shares: Algorithms 3/4
+/// read one set of parameters (Lambda, kappa, theta, the skew estimate
+/// L-bar) for all nodes. World builds it once; nodes keep a pointer.
+struct AlgorithmSettings {
+  Params params;
+
+  /// EXTENSION (paper "Bigger Picture" item 3): trimmed aggregation. A
+  /// gradient node takes H_min as the (trim+1)-th earliest neighbour
+  /// reception and H_max as the (deg - trim)-th, so `trim` outliers on each
+  /// side cannot influence the correction. trim = 0 is the paper's
+  /// algorithm; it requires 2 * trim < neighbour count.
+  std::uint32_t trim = 0;
+
+  /// Algorithm 4 wait-statement guards (Appendix C).
+  bool self_stabilizing = false;
+
+  /// Jump condition (Definition 4.5). Disabling reproduces Figure 5.
+  bool jump_condition = true;
+
+  /// Estimate L-bar of the steady-state local skew, used by the watchdog
+  /// interval theta (2 L-bar + u): params.thm11_bound(D).
+  double skew_bound_hint = 0.0;
+};
+
 }  // namespace gtrix

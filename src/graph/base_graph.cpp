@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "support/check.hpp"
 
@@ -62,7 +61,7 @@ BaseGraph BaseGraph::line_replicated(std::uint32_t columns) {
     connect(interior_id(columns - 2), right_a);
     connect(interior_id(columns - 2), right_b);
   }
-  g.finalize();
+  g.finalize(columns - 1);
   return g;
 }
 
@@ -86,7 +85,7 @@ BaseGraph BaseGraph::cycle_wide(std::uint32_t n, std::uint32_t reach) {
       g.adjacency_[next].push_back(i);
     }
   }
-  g.finalize();
+  g.finalize((n / 2 + reach - 1) / reach);
   return g;
 }
 
@@ -114,7 +113,7 @@ BaseGraph BaseGraph::torus(std::uint32_t rows, std::uint32_t cols) {
       connect(v, id((r + 1) % rows, c));
     }
   }
-  g.finalize();
+  g.finalize(rows / 2 + cols / 2);
   return g;
 }
 
@@ -134,35 +133,13 @@ BaseGraph BaseGraph::path(std::uint32_t n) {
       g.adjacency_[i + 1].push_back(i);
     }
   }
-  g.finalize();
+  g.finalize(n - 1);
   return g;
 }
 
-void BaseGraph::finalize() {
+void BaseGraph::finalize(std::uint32_t diameter) {
   for (auto& nbrs : adjacency_) std::sort(nbrs.begin(), nbrs.end());
-  const std::uint32_t n = node_count();
-  dist_.assign(n, std::vector<std::uint32_t>(n, kUnreached));
-  diameter_ = 0;
-  for (std::uint32_t src = 0; src < n; ++src) {
-    auto& d = dist_[src];
-    d[src] = 0;
-    std::queue<BaseNodeId> frontier;
-    frontier.push(src);
-    while (!frontier.empty()) {
-      const BaseNodeId v = frontier.front();
-      frontier.pop();
-      for (BaseNodeId w : adjacency_[v]) {
-        if (d[w] == kUnreached) {
-          d[w] = d[v] + 1;
-          frontier.push(w);
-        }
-      }
-    }
-    for (std::uint32_t other = 0; other < n; ++other) {
-      GTRIX_CHECK_MSG(d[other] != kUnreached, "base graph must be connected");
-      diameter_ = std::max(diameter_, d[other]);
-    }
-  }
+  diameter_ = diameter;
 }
 
 std::uint32_t BaseGraph::edge_count() const {
@@ -192,8 +169,20 @@ std::uint32_t BaseGraph::max_degree() const {
   return m;
 }
 
-std::uint32_t BaseGraph::distance(BaseNodeId a, BaseNodeId b) const {
-  return dist_.at(a).at(b);
+std::vector<std::uint32_t> BaseGraph::distances_from(BaseNodeId src) const {
+  std::vector<std::uint32_t> d(node_count(), kUnreached);
+  std::vector<BaseNodeId> frontier{src};
+  d.at(src) = 0;
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const BaseNodeId v = frontier[next];
+    for (const BaseNodeId w : adjacency_[v]) {
+      if (d[w] == kUnreached) {
+        d[w] = d[v] + 1;
+        frontier.push_back(w);
+      }
+    }
+  }
+  return d;
 }
 
 std::span<const BaseNodeId> BaseGraph::nodes_in_column(std::uint32_t c) const {

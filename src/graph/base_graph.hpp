@@ -32,10 +32,10 @@ class BaseGraph {
   /// `reach` (degree 2*reach). The grid built on it has in-degree
   /// 2*reach + 1 -- the topology the paper's "Bigger Picture" item (3)
   /// proposes for tolerating f = reach local faults with minimal degree.
-  /// Requires n > 2 * reach.
+  /// Requires n > 2 * reach. Diameter = ceil(floor(n / 2) / reach).
   static BaseGraph cycle_wide(std::uint32_t n, std::uint32_t reach);
 
-  /// Path on `n >= 2` nodes (minimum degree 1).
+  /// Path on `n >= 2` nodes (minimum degree 1). Diameter = n - 1.
   static BaseGraph path(std::uint32_t n);
 
   /// 2D torus: `rows` rings of `cols` nodes, wrapping in both dimensions.
@@ -54,10 +54,10 @@ class BaseGraph {
   std::uint32_t min_degree() const;
   std::uint32_t max_degree() const;
 
-  /// Hop distance in H (precomputed all-pairs BFS).
-  std::uint32_t distance(BaseNodeId a, BaseNodeId b) const;
+  /// Hop distances from `src` to every node (one BFS, O(n) memory).
+  std::vector<std::uint32_t> distances_from(BaseNodeId src) const;
 
-  /// Graph diameter D.
+  /// Graph diameter D, in closed form per factory (no all-pairs search).
   std::uint32_t diameter() const noexcept { return diameter_; }
 
   /// Geometric column of a node along the line / index around the cycle.
@@ -77,13 +77,12 @@ class BaseGraph {
 
  private:
   BaseGraph() = default;
-  void finalize();  // sorts adjacency, computes distances/diameter
+  void finalize(std::uint32_t diameter);  // sorts adjacency, sets the diameter
 
   std::vector<std::vector<BaseNodeId>> adjacency_;
   std::vector<std::uint32_t> columns_;
   std::vector<std::vector<BaseNodeId>> column_nodes_;
   std::uint32_t column_count_ = 0;
-  std::vector<std::vector<std::uint32_t>> dist_;  // all-pairs hop distance
   std::uint32_t diameter_ = 0;
   std::vector<bool> is_replica_;
 };

@@ -31,9 +31,10 @@ double pair_potential(const GridTrace& trace, std::uint32_t layer, Sigma sigma,
   double best = -std::numeric_limits<double>::infinity();
   for (BaseNodeId v = 0; v < base.node_count(); ++v) {
     if (std::isnan(t[v])) continue;
+    const std::vector<std::uint32_t> dist = base.distances_from(v);
     for (BaseNodeId w = 0; w < base.node_count(); ++w) {
       if (v == w || std::isnan(t[w])) continue;
-      const double value = t[v] - t[w] - weight * base.distance(v, w);
+      const double value = t[v] - t[w] - weight * dist[w];
       best = std::max(best, value);
     }
   }

@@ -11,10 +11,6 @@
 
 namespace gtrix {
 
-void NodeModel::set_send_override(SendOverride) {
-  GTRIX_CHECK_MSG(false, "this algorithm does not support send-behaviour faults");
-}
-
 void NodeModel::corrupt_state(Rng&) {
   GTRIX_CHECK_MSG(false, "this algorithm does not support state corruption");
 }
@@ -29,29 +25,31 @@ void NodeModel::checkpoint_restore(CkptCursor&) {
 
 namespace {
 
-GradientNodeConfig gradient_config(const NodeContext& ctx, bool simplified) {
-  GradientNodeConfig config;
-  config.params = ctx.params;
-  config.simplified = simplified;
-  config.self_stabilizing = ctx.self_stabilizing;
-  config.jump_condition = ctx.jump_condition;
-  config.trim = ctx.trim;
-  config.skew_bound_hint = ctx.params.thm11_bound(ctx.diameter);
-  config.broadcast_offset = ctx.broadcast_offset;
-  return config;
-}
-
 // Each model holds its node inline (one allocation per node, not two); the
 // model is heap-allocated once and never moves, so the node's address --
 // which queued events and the network's sink table hold -- stays fixed.
-class GradientNodeModel final : public NodeModel {
+template <class Node>
+class InlineNodeModel : public NodeModel {
  public:
-  GradientNodeModel(NodeContext ctx, bool simplified)
-      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds,
-              gradient_config(ctx, simplified), ctx.recorder, ctx.arena.gradient) {}
+  template <class... Args>
+  explicit InlineNodeModel(Args&&... args) : node_(std::forward<Args>(args)...) {}
 
   PulseSink& sink() override { return node_; }
-  void set_send_override(SendOverride fn) override { node_.set_send_override(std::move(fn)); }
+  TimerTarget* timer_target() noexcept override { return &node_; }
+  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
+  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
+
+ protected:
+  Node node_;
+};
+
+class GradientNodeModel final : public InlineNodeModel<GradientTrixNode> {
+ public:
+  GradientNodeModel(NodeContext ctx, bool simplified)
+      : InlineNodeModel(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds,
+                        ctx.settings, simplified, ctx.fault, ctx.recorder,
+                        ctx.arena.gradient) {}
+
   void corrupt_state(Rng& rng) override { node_.corrupt_state(rng); }
 
   void add_counters(ExperimentCounters& total) const override {
@@ -65,13 +63,6 @@ class GradientNodeModel final : public NodeModel {
   }
 
   GradientTrixNode* gradient() noexcept override { return &node_; }
-
-  TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
-
- private:
-  GradientTrixNode node_;
 };
 
 class GradientProvider final : public AlgorithmProvider {
@@ -79,7 +70,8 @@ class GradientProvider final : public AlgorithmProvider {
   explicit GradientProvider(bool simplified) : simplified_(simplified) {}
 
   AlgorithmCaps caps() const override {
-    return AlgorithmCaps{.send_fault_overrides = true,
+    return AlgorithmCaps{.send_faults = true,
+                         .exact_trim = true,
                          .state_corruption = true,
                          .tolerates_silent_preds = true};
   }
@@ -92,51 +84,21 @@ class GradientProvider final : public AlgorithmProvider {
   bool simplified_;
 };
 
-class TrixNaiveNodeModel final : public NodeModel {
- public:
-  explicit TrixNaiveNodeModel(NodeContext ctx)
-      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.params,
-              ctx.recorder, ctx.arena.trix) {}
-
-  PulseSink& sink() override { return node_; }
-
-  TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
-
- private:
-  TrixNaiveNode node_;
-};
-
 class TrixNaiveProvider final : public AlgorithmProvider {
  public:
   AlgorithmCaps caps() const override {
     // Waits only for the *second* pulse copy, so one silent predecessor per
     // node is survivable; send-behaviour faults and corruption are not.
-    return AlgorithmCaps{.send_fault_overrides = false,
+    return AlgorithmCaps{.send_faults = false,
                          .state_corruption = false,
                          .tolerates_silent_preds = true};
   }
 
   std::unique_ptr<NodeModel> make_node(NodeContext ctx) const override {
-    return std::make_unique<TrixNaiveNodeModel>(std::move(ctx));
+    return std::make_unique<InlineNodeModel<TrixNaiveNode>>(
+        ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.settings, ctx.recorder,
+        ctx.arena.trix);
   }
-};
-
-class LynchWelchNodeModel final : public NodeModel {
- public:
-  explicit LynchWelchNodeModel(NodeContext ctx)
-      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.params,
-              ctx.trim, ctx.recorder, ctx.arena.lw) {}
-
-  PulseSink& sink() override { return node_; }
-
-  TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
-
- private:
-  LynchWelchGridNode node_;
 };
 
 class LynchWelchProvider final : public AlgorithmProvider {
@@ -148,7 +110,9 @@ class LynchWelchProvider final : public AlgorithmProvider {
   }
 
   std::unique_ptr<NodeModel> make_node(NodeContext ctx) const override {
-    return std::make_unique<LynchWelchNodeModel>(std::move(ctx));
+    return std::make_unique<InlineNodeModel<LynchWelchGridNode>>(
+        ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.settings, ctx.recorder,
+        ctx.arena.lw);
   }
 };
 

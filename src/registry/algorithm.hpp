@@ -4,19 +4,19 @@
 // A NodeModel wraps one algorithm-layer grid node (GradientTrixNode, the
 // naive TRIX baseline, the Lynch-Welch-style trimmed-midpoint node, or any
 // registered extension) and exposes the uniform surface World wires:
-// the PulseSink, the fault hooks, state corruption and counters. Providers
+// the PulseSink, state corruption and counters. Providers
 // declare capabilities so the config layer can reject fault plans and
 // corruption schedules an algorithm cannot honor -- a hard, path-qualified
 // error instead of the silent no-op the enum-era World performed.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 
 #include "clock/hardware_clock.hpp"
 #include "core/params.hpp"
+#include "fault/behaviors.hpp"
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "registry/registry.hpp"
@@ -57,18 +57,17 @@ struct ExperimentCounters {
 /// when resolving a config; World re-checks as a hard backstop.
 struct AlgorithmCaps {
   /// Send-behaviour faults (static-offset / split / jitter / mute-after)
-  /// can be installed on this algorithm's nodes.
-  bool send_fault_overrides = false;
+  /// can be installed on this algorithm's nodes (NodeContext::fault).
+  bool send_faults = false;
+  /// Reads the config-level `trim` as given, so every node needs 2 * trim
+  /// below its neighbour count; the config layer rejects larger values.
+  bool exact_trim = false;
   /// corrupt_fraction / Theorem 1.6 transient-fault workloads.
   bool state_corruption = false;
   /// Keeps making progress when a predecessor never pulses (crash or
   /// fixed-period faults anywhere in the grid).
   bool tolerates_silent_preds = false;
 };
-
-/// Replaces a node's default broadcast (fault wrappers). Same contract as
-/// GradientTrixNode::SendOverride.
-using SendOverride = std::function<void(const Pulse&, SimTime)>;
 
 /// Everything needed to build one algorithm-layer node.
 struct NodeContext {
@@ -79,12 +78,11 @@ struct NodeContext {
   /// Own copy first (Grid::predecessors). Nodes keep the span, so the
   /// storage must outlive them (World passes the Grid's).
   std::span<const NetNodeId> preds;
-  Params params;
-  std::uint32_t diameter = 0;        ///< base-graph diameter D
-  std::uint32_t trim = 0;            ///< trimmed-aggregation extension
-  bool self_stabilizing = false;
-  bool jump_condition = true;
-  double broadcast_offset = 0.0;     ///< static fault shift (0 when correct)
+  /// The World's shared algorithm settings; nodes keep a pointer.
+  const AlgorithmSettings& settings;
+  /// The node's send-behaviour fault record, owned by World; null for a
+  /// correct node. Only algorithms with caps().send_faults receive one.
+  SendFault* fault = nullptr;
   Recorder* recorder = nullptr;
   /// Struct-of-arrays store for the node's hot state (core/node_state.hpp),
   /// owned by World (or by a test); the only home of node state.
@@ -98,9 +96,9 @@ class NodeModel {
 
   virtual PulseSink& sink() = 0;
 
-  /// Fault hooks. World only calls these when the provider's caps() allow
-  /// it (the config layer rejects mismatches earlier with path context).
-  virtual void set_send_override(SendOverride fn);
+  /// Transient-fault hook. World only calls it when the provider's caps()
+  /// allow it (the config layer rejects mismatches earlier with path
+  /// context).
   virtual void corrupt_state(Rng& rng);
 
   virtual void add_counters(ExperimentCounters& /*total*/) const {}

@@ -72,6 +72,11 @@ World::World(ExperimentConfig config, EngineOptions engine)
       algorithm_provider_(algorithm_registry().create(components_.algorithm)),
       algorithm_caps_(algorithm_provider_->caps()),
       grid_(make_base(config_, components_), config_.layers),
+      settings_{.params = config_.params,
+                .trim = config_.trim,
+                .self_stabilizing = config_.self_stabilizing,
+                .jump_condition = config_.jump_condition,
+                .skew_bound_hint = config_.params.thm11_bound(grid_.base().diameter())},
       net_(sim_),
       arena_(std::make_unique<NodeArena>()) {
   GTRIX_CHECK_MSG(config_.layers >= 2, "need at least layer 0 and one algorithm layer");
@@ -114,7 +119,6 @@ World::World(ExperimentConfig config, EngineOptions engine)
 
   sinks_.resize(grid_.node_count() + 1);  // +1 possible source slot
   model_by_grid_.assign(grid_.node_count(), nullptr);
-  gradient_by_grid_.assign(grid_.node_count(), nullptr);
   layer0_by_grid_.assign(grid_.node_count(), nullptr);
 
   init_shards();
@@ -313,7 +317,7 @@ void World::build_layer0(Rng& clock_rng, Rng& layer0_rng) {
 
 void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
   const BaseGraph& base = grid_.base();
-  const std::uint32_t diameter = base.diameter();
+  send_faults_.reserve(fault_map_.size());  // nodes point into it: never reallocate
 
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
     const std::uint32_t layer = grid_.layer_of(g);
@@ -336,99 +340,27 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
       auto rogue = std::make_unique<FixedPeriodRogue>(sim_for(g), net_, g, period, first_at,
                                                       config_.pulses, recorder_for(g));
       rogue->start();
-      rogues_.push_back(rogue.get());
       net_.set_sink(g, rogue.get());
       sinks_[g] = std::move(rogue);
       continue;
     }
 
-    // The config layer rejects this mismatch with path context; a direct
-    // World construction gets the hard error instead of a silent no-op.
+    // The remaining kinds run the algorithm and change only what it sends.
+    SendFault* fault = nullptr;
     if (spec != nullptr) {
-      GTRIX_CHECK_MSG(algorithm_caps_.send_fault_overrides,
+      // The config layer rejects this mismatch with path context; a direct
+      // World construction gets the hard error instead of a silent no-op.
+      GTRIX_CHECK_MSG(algorithm_caps_.send_faults,
                       "algorithm '" + components_.algorithm.kind + "' does not support '" +
                           std::string(to_string(spec->kind)) + "' faults");
+      fault = &send_faults_.emplace_back(make_send_fault(*spec, g, grid_, net_, fault_rng));
     }
-
-    double broadcast_offset = 0.0;
-    if (spec != nullptr && spec->kind == FaultKind::kStaticOffset) {
-      broadcast_offset = spec->offset;
-    }
-    if (spec != nullptr && (spec->kind == FaultKind::kSplit || spec->kind == FaultKind::kJitter)) {
-      broadcast_offset = -spec->alpha;
-    }
-
-    auto model = algorithm_provider_->make_node(NodeContext{
-        sim_for(g), net_, g, std::move(clock), grid_.predecessors(g), config_.params, diameter,
-        config_.trim, config_.self_stabilizing, config_.jump_condition, broadcast_offset,
-        recorder_for(g), *arena_for(g)});
-    if (spec != nullptr) install_fault(g, *spec, *model, fault_rng);
+    auto model = algorithm_provider_->make_node(
+        NodeContext{sim_for(g), net_, g, std::move(clock), grid_.predecessors(g), settings_,
+                    fault, recorder_for(g), *arena_for(g)});
     model_by_grid_[g] = model.get();
-    gradient_by_grid_[g] = model->gradient();
     net_.set_sink(g, &model->sink());
     models_.push_back(std::move(model));
-  }
-}
-
-void World::install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model,
-                          Rng& fault_rng) {
-  switch (spec.kind) {
-    case FaultKind::kStaticOffset:
-      // Handled via broadcast_offset; no override needed.
-      return;
-    case FaultKind::kSplit: {
-      // Send early to lower-column successors, late to higher-column ones.
-      // The node already fires alpha early (broadcast_offset = -alpha);
-      // per-edge extras of 0 / alpha / 2 alpha realize -alpha / 0 / +alpha.
-      const std::uint32_t own_col = grid_.base().column(grid_.base_of(g));
-      std::vector<std::pair<EdgeId, double>> plan;
-      for (EdgeId e : net_.out_edges(g)) {
-        const auto to_col = grid_.base().column(grid_.base_of(net_.edge_to(e)));
-        double extra = spec.alpha;  // same column: on time
-        if (to_col < own_col) extra = 0.0;
-        if (to_col > own_col) extra = 2.0 * spec.alpha;
-        plan.emplace_back(e, extra);
-      }
-      model.set_send_override([this, plan](const Pulse& pulse, SimTime /*now*/) {
-        for (const auto& [edge, extra] : plan) {
-          if (extra <= 0.0) {
-            net_.send(edge, pulse);
-          } else {
-            net_.send_after(edge, pulse, extra);
-          }
-        }
-      });
-      return;
-    }
-    case FaultKind::kJitter: {
-      auto runtime = std::make_unique<FaultRuntime>();
-      runtime->rng = fault_rng.split("jitter");
-      FaultRuntime* rt = runtime.get();
-      fault_runtimes_.push_back(std::move(runtime));
-      const double alpha = spec.alpha;
-      model.set_send_override([this, rt, alpha, g](const Pulse& pulse, SimTime /*now*/) {
-        for (EdgeId e : net_.out_edges(g)) {
-          const double extra = rt->rng.uniform(0.0, 2.0 * alpha);
-          net_.send_after(e, pulse, extra);
-        }
-      });
-      return;
-    }
-    case FaultKind::kMuteAfter: {
-      auto runtime = std::make_unique<FaultRuntime>();
-      FaultRuntime* rt = runtime.get();
-      fault_runtimes_.push_back(std::move(runtime));
-      const std::int64_t after = spec.after;
-      model.set_send_override([this, rt, after, g](const Pulse& pulse, SimTime) {
-        if (rt->sent >= after) return;  // silent from now on
-        ++rt->sent;
-        net_.broadcast(g, pulse);
-      });
-      return;
-    }
-    case FaultKind::kCrash:
-    case FaultKind::kFixedPeriod:
-      GTRIX_CHECK_MSG(false, "handled before node construction");
   }
 }
 
@@ -628,7 +560,10 @@ ExperimentCounters World::counters() const {
   return total;
 }
 
-GradientTrixNode* World::gradient_node(GridNodeId g) { return gradient_by_grid_.at(g); }
+GradientTrixNode* World::gradient_node(GridNodeId g) {
+  NodeModel* model = model_by_grid_.at(g);
+  return model == nullptr ? nullptr : model->gradient();
+}
 Layer0LineNode* World::layer0_node(GridNodeId g) { return layer0_by_grid_.at(g); }
 
 ExperimentResult run_experiment(const ExperimentConfig& config, EngineOptions engine) {

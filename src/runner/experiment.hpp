@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline/trix_node.hpp"
 #include "clock/hardware_clock.hpp"
 #include "core/gradient_node.hpp"
 #include "core/layer0.hpp"
@@ -257,7 +256,7 @@ class World {
 
   /// Serializes the full mutable simulation state (src/ckpt): every shard
   /// queue with its clock cursor, the network mailboxes and counters, all
-  /// node registers, fault runtimes, the recorder and the streaming
+  /// node registers, the send-fault states, the recorder and the streaming
   /// accumulators. Must be called while the World is quiescent (between
   /// run_* calls -- on the sharded engine that is a window barrier with
   /// every worker parked and every shard-recorder buffer merged). Returns
@@ -280,12 +279,6 @@ class World {
   bool is_faulty(GridNodeId g) const { return fault_map_.contains(g); }
 
  private:
-  struct FaultRuntime {
-    Rng rng;
-    std::int64_t sent = 0;
-    FaultRuntime() : rng(0) {}
-  };
-
   static BaseGraph make_base(const ExperimentConfig& config,
                              const ResolvedComponents& components);
   /// Enumerates every possible event target in construction order (the
@@ -297,7 +290,6 @@ class World {
   void build_network(Rng& delay_rng);
   void build_layer0(Rng& clock_rng, Rng& layer0_rng);
   void build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng);
-  void install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model, Rng& fault_rng);
 
   /// Per-node wiring lookups; on the serial engine they resolve to the
   /// single sim_/arena_/recorder_ so shards=1 constructs the identical
@@ -322,6 +314,8 @@ class World {
   std::shared_ptr<const AlgorithmProvider> algorithm_provider_;
   AlgorithmCaps algorithm_caps_;
   Grid grid_;
+  /// Built once from the config; every algorithm node points to it.
+  AlgorithmSettings settings_;
   Simulator sim_;
   Network net_;
   Recorder recorder_;
@@ -355,13 +349,13 @@ class World {
   std::vector<std::unique_ptr<PulseSink>> sinks_;
   std::vector<std::unique_ptr<NodeModel>> models_;
   std::vector<NodeModel*> model_by_grid_;
-  std::vector<GradientTrixNode*> gradient_by_grid_;
   std::vector<Layer0LineNode*> layer0_by_grid_;
   std::unique_ptr<ClockSource> source_;
   std::vector<std::unique_ptr<IdealEmitter>> emitters_;
-  std::vector<FixedPeriodRogue*> rogues_;
   std::map<GridNodeId, FaultSpec> fault_map_;
-  std::vector<std::unique_ptr<FaultRuntime>> fault_runtimes_;
+  /// One record per send-behaviour-faulty algorithm node, in grid order;
+  /// the nodes point into it, so its capacity is reserved up front.
+  std::vector<SendFault> send_faults_;
 };
 
 /// Recovery-time measurement of a corrupt cell (Theorems 1.2/1.3/1.6): the

@@ -162,6 +162,9 @@ struct ConfigDraft {
   /// Path of the last explicit columns or layers value: the key blamed
   /// when layers x columns overflows the node-id space.
   std::string shape_path;
+  /// Path of the last explicit trim value: the key blamed when the trim is
+  /// too large for the base graph's degree.
+  std::string trim_path;
   std::optional<ParamsDerive> derive;
   std::optional<Layer0Pattern> layer0_pattern;
   std::optional<RandomFaultGen> random_faults;
@@ -449,6 +452,7 @@ void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& va
     draft.cycle_reach = read_u32(value, path);
   } else if (key == "trim") {
     c.trim = read_u32(value, path);
+    draft.trim_path = path;
   } else if (key == "layers") {
     if (value.is_string()) {
       if (read_string(value, path) != "columns") {
@@ -703,10 +707,14 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   // later inside a worker thread.
   const ResolvedComponents components = at_path(context, [&] { return resolve_components(c); });
   // Sweeps revisit a handful of topology shapes over and over; memoize the
-  // successfully built ones (keyed shape -> base node count) so expansion
-  // does not pay an all-pairs BFS per cell (the map stays tiny: one entry
-  // per distinct shape ever seen).
-  static thread_local std::map<std::string, std::uint32_t> valid_shapes;
+  // successfully built ones (keyed shape -> base node count and minimum
+  // degree) so expansion does not rebuild the graph per cell (the map stays
+  // tiny: one entry per distinct shape ever seen).
+  struct ShapeFacts {
+    std::uint32_t nodes;
+    std::uint32_t min_degree;
+  };
+  static thread_local std::map<std::string, ShapeFacts> valid_shapes;
   const std::string shape = component_to_json(topology_registry(), components.topology).dump() +
                             "@" + std::to_string(c.columns);
   auto shape_it = valid_shapes.find(shape);
@@ -715,7 +723,8 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
       TopologyContext tctx;
       tctx.columns = c.columns;
       const BaseGraph built = topology_registry().create(components.topology)->build(tctx);
-      shape_it = valid_shapes.emplace(shape, built.node_count()).first;
+      shape_it =
+          valid_shapes.emplace(shape, ShapeFacts{built.node_count(), built.min_degree()}).first;
     } catch (const std::exception& e) {
       throw JsonError(context + ": invalid topology: " + e.what());
     }
@@ -724,9 +733,9 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   // product past that must fail here with cell context, not wrap inside a
   // worker thread (Grid re-checks as the last line of defense).
   try {
-    (void)checked_u32_mul(c.layers, shape_it->second,
+    (void)checked_u32_mul(c.layers, shape_it->second.nodes,
                           "grid node count (" + std::to_string(c.layers) + " layers x " +
-                              std::to_string(shape_it->second) + " base nodes)");
+                              std::to_string(shape_it->second.nodes) + " base nodes)");
   } catch (const std::overflow_error& e) {
     throw JsonError(context + ": " + e.what());
   }
@@ -740,6 +749,14 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   // Capability checks (previously silent no-ops inside World): a fault plan
   // or corruption schedule the experiment cannot honor is a config error.
   const AlgorithmCaps caps = algorithm->caps();
+  // A node's neighbour count is its base-graph degree.
+  const std::uint32_t min_degree = shape_it->second.min_degree;
+  if (caps.exact_trim && 2 * std::uint64_t{c.trim} >= min_degree) {
+    throw JsonError(context + ": " + (draft.trim_path.empty() ? "trim" : draft.trim_path) +
+                    ": trim " + std::to_string(c.trim) + " needs 2 * trim below the " +
+                    "minimum base-graph degree " + std::to_string(min_degree) +
+                    " (algorithm '" + components.algorithm.kind + "')");
+  }
   for (std::size_t i = 0; i < c.faults.size(); ++i) {
     const PlacedFault& fault = c.faults[i];
     const auto fault_error = [&](const std::string& reason) {
@@ -766,11 +783,11 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
     }
     // A silent node at ANY layer (including layer 0) starves its
     // successors, so it needs tolerates_silent_preds; send-behaviour faults
-    // above layer 0 need a node that accepts send overrides.
+    // above layer 0 need an algorithm that runs them (caps.send_faults).
     const bool silent_kind = fault.spec.kind == FaultKind::kCrash ||
                              fault.spec.kind == FaultKind::kFixedPeriod;
     const bool supported = silent_kind ? caps.tolerates_silent_preds
-                                       : (fault.layer == 0 || caps.send_fault_overrides);
+                                       : (fault.layer == 0 || caps.send_faults);
     if (!supported) {
       throw fault_error("algorithm '" + components.algorithm.kind +
                         "' does not support it" +

@@ -6,7 +6,8 @@ expansion limit must all be rejected up front (at --dry-run): exit status 2
 and a path-qualified message on stderr, never a crash, an allocation
 failure or exit 1. The scenario cases run under an address-space limit
 (ulimit -v) unless the binary is sanitizer-instrumented, so a shape that
-allocates before it is checked fails fast instead of exhausting the host. A flag whose value is not a number exits 2 as well --
+allocates before it is checked fails fast instead of exhausting the host;
+the ACCEPTED scenarios must pass --dry-run under the same limit. A flag whose value is not a number exits 2 as well --
 in gtrix_campaign and in the example and bench binaries, which share
 run_cli (src/support/flags.hpp).
 
@@ -57,6 +58,18 @@ CASES = {
         {"name": "huge-axis", "sweep": {"seed": {"from": 1, "count": 10000000000}}},
         "$.sweep.seed.count: range count",
     ),
+    "trim-too-large": (
+        {"name": "trim-too-large", "config": {"columns": 8, "layers": 4, "trim": 2}},
+        "$.config.trim: trim 2 needs 2 * trim below the minimum base-graph degree 2",
+    ),
+}
+
+# Valid scenarios that must pass --dry-run (exit 0) under the same
+# address-space ceiling: shapes whose checks once allocated more than the
+# cell needs.
+ACCEPTED = {
+    # 70000 columns: an all-pairs distance matrix would need ~20 GB.
+    "wide-shape": {"name": "wide-shape", "config": {"columns": 70000, "layers": 2}},
 }
 
 # Address-space ceiling for the scenario cases: a dry run needs a few MB.
@@ -116,6 +129,18 @@ def main(argv):
                                   capture_output=True, text=True, timeout=60,
                                   preexec_fn=limit)
             failures += check(name, proc, expected)
+        for name, doc in ACCEPTED.items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            proc = subprocess.run([binary, str(path), "--dry-run", f"--out={tmp}/out"],
+                                  capture_output=True, text=True, timeout=60,
+                                  preexec_fn=limit)
+            if proc.returncode != 0:
+                failures += 1
+                print(f"FAIL {name}: exit {proc.returncode}, stderr: "
+                      f"{proc.stderr.strip()!r} (want a clean dry run)", file=sys.stderr)
+            else:
+                print(f"ok   {name}: dry run passes")
         for name, (args, expected) in FLAG_CASES.items():
             proc = subprocess.run([binary, *args, f"--out={tmp}/out"],
                                   capture_output=True, text=True, timeout=60)

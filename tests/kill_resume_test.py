@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Kill-and-resume byte-identity test for gtrix_campaign checkpointing.
 
-For each scenario (plain, mid-run corruption, streaming recording) and each
+For each scenario (plain, mid-run corruption, streaming recording, send
+faults) and each
 (threads, shards) combination:
   1. run the campaign uninterrupted once to get the reference JSONL bytes
      and summary (the JSONL is thread/shard-invariant by design, so one
@@ -57,6 +58,20 @@ SCENARIOS = {
                    "recording": {"kind": "streaming", "window": 16}},
         "corrupt": {"wave": 10.0, "fraction": 1.0},
         "sweep": {"seed": [1, 2]},
+    },
+    # Send-behaviour faults: a resume must restore each jitter node's
+    # random stream and the mute-after counter (the "faults" section)
+    # mid-sequence. Longer than the others (~0.6 s checkpointed), so most
+    # kills land mid-run rather than after the campaign has finished.
+    "kr-send-faults": {
+        "name": "kr-send-faults",
+        "config": {"columns": 8, "layers": 10, "pulses": 80,
+                   "faults": [
+                       {"base": 3, "layer": 2, "kind": "jitter", "alpha": 30.0},
+                       {"base": 5, "layer": 4, "kind": "split", "alpha": 40.0},
+                       {"base": 2, "layer": 6, "kind": "mute-after", "after": 30},
+                       {"base": 6, "layer": 8, "kind": "jitter", "alpha": 20.0}]},
+        "sweep": {"seed": [1, 2, 3]},
     },
 }
 

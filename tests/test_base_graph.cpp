@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace gtrix {
 namespace {
@@ -56,16 +59,16 @@ TEST(LineReplicated, ReplicasAreConnected) {
   const auto right = g.nodes_in_column(5);
   EXPECT_TRUE(g.has_edge(left[0], left[1]));
   EXPECT_TRUE(g.has_edge(right[0], right[1]));
-  EXPECT_EQ(g.distance(left[0], left[1]), 1u);
+  EXPECT_EQ(g.distances_from(left[0])[left[1]], 1u);
 }
 
 TEST(LineReplicated, DistancesMatchColumns) {
   const BaseGraph g = BaseGraph::line_replicated(7);
   const BaseNodeId a = g.nodes_in_column(1).front();
   const BaseNodeId b = g.nodes_in_column(5).front();
-  EXPECT_EQ(g.distance(a, b), 4u);
-  EXPECT_EQ(g.distance(a, a), 0u);
-  EXPECT_EQ(g.distance(a, b), g.distance(b, a));
+  EXPECT_EQ(g.distances_from(a)[b], 4u);
+  EXPECT_EQ(g.distances_from(a)[a], 0u);
+  EXPECT_EQ(g.distances_from(a)[b], g.distances_from(b)[a]);
 }
 
 TEST(LineReplicated, LabelsAreReadable) {
@@ -93,7 +96,7 @@ TEST(Cycle, BasicProperties) {
   EXPECT_EQ(g.min_degree(), 2u);
   EXPECT_EQ(g.max_degree(), 2u);
   EXPECT_EQ(g.diameter(), 4u);
-  EXPECT_EQ(g.distance(0, 5), 3u);  // around the short side
+  EXPECT_EQ(g.distances_from(0)[5], 3u);  // around the short side
 }
 
 TEST(Cycle, OddCycleDiameter) {
@@ -110,7 +113,7 @@ TEST(Path, BasicProperties) {
   EXPECT_EQ(g.edge_count(), 4u);
   EXPECT_EQ(g.min_degree(), 1u);
   EXPECT_EQ(g.diameter(), 4u);
-  EXPECT_EQ(g.distance(0, 4), 4u);
+  EXPECT_EQ(g.distances_from(0)[4], 4u);
 }
 
 TEST(EdgesList, MatchesAdjacency) {
@@ -126,11 +129,49 @@ TEST(EdgesList, MatchesAdjacency) {
 
 TEST(Distances, TriangleInequalityHolds) {
   const BaseGraph g = BaseGraph::line_replicated(9);
+  std::vector<std::vector<std::uint32_t>> dist;
+  for (BaseNodeId a = 0; a < g.node_count(); ++a) dist.push_back(g.distances_from(a));
   for (BaseNodeId a = 0; a < g.node_count(); ++a) {
     for (BaseNodeId b = 0; b < g.node_count(); ++b) {
       for (BaseNodeId c = 0; c < g.node_count(); ++c) {
-        EXPECT_LE(g.distance(a, c), g.distance(a, b) + g.distance(b, c));
+        EXPECT_LE(dist[a][c], dist[a][b] + dist[b][c]);
       }
+    }
+  }
+}
+
+// The all-pairs BFS the factories no longer run: every node reached, and
+// the largest hop distance over all sources.
+std::uint32_t bfs_diameter(const BaseGraph& g) {
+  std::uint32_t diameter = 0;
+  for (BaseNodeId src = 0; src < g.node_count(); ++src) {
+    for (const std::uint32_t d : g.distances_from(src)) {
+      EXPECT_NE(d, std::numeric_limits<std::uint32_t>::max()) << "disconnected graph";
+      diameter = std::max(diameter, d);
+    }
+  }
+  return diameter;
+}
+
+TEST(Distances, ClosedFormDiametersMatchBfs) {
+  for (std::uint32_t columns = 2; columns <= 12; ++columns) {
+    const BaseGraph g = BaseGraph::line_replicated(columns);
+    EXPECT_EQ(g.diameter(), bfs_diameter(g)) << "line-replicated columns=" << columns;
+  }
+  for (std::uint32_t n = 2; n <= 12; ++n) {
+    const BaseGraph g = BaseGraph::path(n);
+    EXPECT_EQ(g.diameter(), bfs_diameter(g)) << "path n=" << n;
+  }
+  for (std::uint32_t reach = 1; reach <= 3; ++reach) {
+    for (std::uint32_t n = 2 * reach + 1; n <= 17; ++n) {
+      const BaseGraph g = BaseGraph::cycle_wide(n, reach);
+      EXPECT_EQ(g.diameter(), bfs_diameter(g)) << "cycle n=" << n << " reach=" << reach;
+    }
+  }
+  for (std::uint32_t rows = 3; rows <= 7; ++rows) {
+    for (std::uint32_t cols = 3; cols <= 7; ++cols) {
+      const BaseGraph g = BaseGraph::torus(rows, cols);
+      EXPECT_EQ(g.diameter(), bfs_diameter(g)) << "torus " << rows << "x" << cols;
     }
   }
 }

@@ -121,6 +121,27 @@ TEST(Ckpt, RestoreContinuesBitIdenticallyUnderStreamingRecording) {
   }
 }
 
+TEST(Ckpt, SendFaultStateRestoresMidRun) {
+  // Two jitter nodes and a mute-after node: layer l pulses wave k near
+  // (k + l) Lambda, so at 8.5 Lambda the jitter streams are part-way
+  // through and the mute-after node (layer 4) has not yet sent its sixth
+  // and last pulse; the faults section carries live (rng, sent) pairs.
+  const ExperimentConfig config = config_from_json(Json::parse(R"({
+      "columns": 8, "layers": 8, "pulses": 16,
+      "faults": [
+        {"base": 3, "layer": 2, "kind": "jitter", "alpha": 30.0},
+        {"base": 5, "layer": 4, "kind": "mute-after", "after": 6},
+        {"base": 6, "layer": 6, "kind": "jitter", "alpha": 20.0}
+      ]})"));
+  const double mid = 8.5 * config.params.lambda;
+  for (const std::uint32_t shards : {1u, 2u}) {
+    EngineOptions engine;
+    engine.shards = shards;
+    expect_roundtrip_identical(config, engine, mid,
+                               "send faults/" + std::to_string(shards) + " shards");
+  }
+}
+
 TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
   // Simulated kill-at-boundary: run the checkpointed runner to completion
   // once per boundary count, each time taking the snapshot left by an

@@ -26,8 +26,8 @@ TEST(CycleWide, GraphShape) {
   EXPECT_EQ(g.min_degree(), 4u);
   EXPECT_EQ(g.max_degree(), 4u);
   EXPECT_EQ(g.edge_count(), 20u);
-  EXPECT_EQ(g.distance(0, 4), 2u);  // two reach-2 hops
-  EXPECT_EQ(g.distance(0, 5), 3u);
+  EXPECT_EQ(g.distances_from(0)[4], 2u);  // two reach-2 hops
+  EXPECT_EQ(g.distances_from(0)[5], 3u);
   EXPECT_EQ(g.diameter(), 3u);
 }
 
@@ -121,9 +121,8 @@ TEST(ExtensionFLocal, ConditionsStillHoldFaultFree) {
 
 TEST(ExtensionFLocal, TrimTooLargeRejected) {
   ExperimentConfig config = wide_config(7);
-  config.trim = 2;  // 2*trim >= degree(4): invalid
-  World world(config);
-  EXPECT_THROW(world.run_to_completion(), std::logic_error);
+  config.trim = 2;  // 2*trim >= degree(4): invalid, caught when the nodes are built
+  EXPECT_THROW(World{config}, std::logic_error);
 }
 
 }  // namespace

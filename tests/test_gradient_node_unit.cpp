@@ -2,15 +2,20 @@
 // message schedules through a real (tiny) network. These pin down the
 // pseudocode semantics directly -- until-loop exit times, branch selection,
 // correction values, absorption of late current-wave messages, the
-// watchdog, and duplicate handling -- independent of the full grid.
+// watchdog, duplicate handling and the send-behaviour faults --
+// independent of the full grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <optional>
+#include <vector>
 
 #include "core/gradient_node.hpp"
 #include "core/node_state.hpp"
+#include "fault/behaviors.hpp"
+#include "graph/grid.hpp"
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -30,18 +35,20 @@ struct NodeHarness {
   std::array<NetNodeId, 3> preds{};  // the node keeps a span into this
   std::optional<GradientTrixNode> node;
   Params params = Params::with(1000.0, 10.0, 1.0005);
+  AlgorithmSettings settings;  // the node keeps a pointer to it
 
-  explicit NodeHarness(GradientNodeConfig config = {}) {
+  explicit NodeHarness(AlgorithmSettings base = {}, bool simplified = false) {
     own_pred = net.add_node(nullptr);
     nbr_a = net.add_node(nullptr);
     nbr_b = net.add_node(nullptr);
     self = net.add_node(nullptr);
     recorder.register_node(self, {});
-    config.params = params;
-    if (config.skew_bound_hint == 0.0) config.skew_bound_hint = params.thm11_bound(15);
+    settings = base;
+    settings.params = params;
+    settings.skew_bound_hint = params.thm11_bound(15);
     preds = {own_pred, nbr_a, nbr_b};
-    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, config, &recorder,
-                 arena.gradient);
+    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, settings, simplified, nullptr,
+                 &recorder, arena.gradient);
     net.set_sink(self, &*node);
   }
 
@@ -280,9 +287,7 @@ TEST(NodeUnit, SigmaContinuityBeatsByzantineOwnLabel) {
 TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   // A lone neighbour message with nothing following within theta(2L+u)
   // local time is spurious and must be forgotten (Appendix C).
-  GradientNodeConfig config;
-  config.startup_watchdog = true;
-  NodeHarness h(config);
+  NodeHarness h;
   const double window =
       h.params.theta * (2.0 * h.params.thm11_bound(15) + h.params.u);
   h.arrive(h.nbr_a, 1000.0, 1);
@@ -298,24 +303,8 @@ TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   EXPECT_EQ(its[0].sigma, 2);
 }
 
-TEST(NodeUnit, WatchdogDisabledKeepsStaleMessage) {
-  GradientNodeConfig config;
-  config.startup_watchdog = false;
-  NodeHarness h(config);
-  h.arrive(h.nbr_a, 1000.0, 1);
-  const double t2 = 4000.0;
-  h.arrive(h.own_pred, t2, 2);
-  h.arrive(h.nbr_b, t2 + 4.0, 2);
-  const auto& its = h.run();
-  EXPECT_EQ(h.node->counters().watchdog_resets, 0u);
-  ASSERT_GE(its.size(), 1u);
-  EXPECT_DOUBLE_EQ(its[0].h_min, 1000.0);  // stale message retained
-}
-
 TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {
-  GradientNodeConfig config;
-  config.simplified = true;
-  NodeHarness h(config);
+  NodeHarness h({}, /*simplified=*/true);
   const double k = h.kappa();
   h.arrive(h.nbr_a, 1000.0);
   h.arrive(h.own_pred, 1000.0 + 6.0 * k);  // would trigger full-mode timeout logic
@@ -326,34 +315,10 @@ TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {
   EXPECT_DOUBLE_EQ(its[0].h_max, 1000.0 + 7.0 * k);
 }
 
-TEST(NodeUnit, BroadcastOffsetShiftsPulse) {
-  GradientNodeConfig config;
-  config.broadcast_offset = 123.0;
-  NodeHarness h(config);
-  h.arrive(h.nbr_a, 1000.0);
-  h.arrive(h.own_pred, 1002.0);
-  h.arrive(h.nbr_b, 1004.0);
-  const auto& its = h.run();
-  ASSERT_EQ(its.size(), 1u);
-  EXPECT_DOUBLE_EQ(its[0].pulse_time, 1002.0 + h.lambda_minus_d() + 123.0);
-}
-
-TEST(NodeUnit, SendOverrideReplacesBroadcast) {
-  NodeHarness h;
-  int override_calls = 0;
-  h.node->set_send_override([&override_calls](const Pulse&, SimTime) { ++override_calls; });
-  h.arrive(h.nbr_a, 1000.0);
-  h.arrive(h.own_pred, 1002.0);
-  h.arrive(h.nbr_b, 1004.0);
-  h.run();
-  EXPECT_EQ(override_calls, 1);
-  EXPECT_EQ(h.net.messages_sent(), 3u);  // only the injected arrivals
-}
-
 TEST(NodeUnit, JumpConditionOffUsesRawDelta) {
-  GradientNodeConfig config;
-  config.jump_condition = false;
-  NodeHarness h(config);
+  AlgorithmSettings settings;
+  settings.jump_condition = false;
+  NodeHarness h(settings);
   const double k = h.kappa();
   // Same wide-spread scenario as PositiveJumpNeedsWideNeighbourSpread:
   // raw Delta = 5k - k/2, undamped (vs. the clamp at theta k).
@@ -387,17 +352,11 @@ TEST(NodeUnit, ExactlyLambdaPeriodOverManyWaves) {
 TEST(NodeUnit, DriftingClockStretchesWait) {
   // With a rate-theta clock, the local wait Lambda - d - C takes
   // (Lambda - d - C)/theta real time.
-  GradientNodeConfig config;
-  NodeHarness h(config);
+  NodeHarness h;
   // Re-create the node with a fast clock.
   h.node.emplace(h.sim, h.net, h.self, HardwareClock(h.params.theta, 0.0), h.preds,
-                 [&] {
-                   GradientNodeConfig c;
-                   c.params = h.params;
-                   c.skew_bound_hint = h.params.thm11_bound(15);
-                   return c;
-                 }(),
-                 &h.recorder, h.arena.gradient);  // claims a fresh arena entry
+                 h.settings, false, nullptr, &h.recorder,
+                 h.arena.gradient);  // claims a fresh arena entry
   h.net.set_sink(h.self, &*h.node);
   h.arrive(h.nbr_a, 1000.0);
   h.arrive(h.own_pred, 1002.0);
@@ -406,6 +365,116 @@ TEST(NodeUnit, DriftingClockStretchesWait) {
   ASSERT_EQ(its.size(), 1u);
   const double wait = h.lambda_minus_d() - its[0].correction;
   EXPECT_NEAR(its[0].pulse_time, 1002.0 + wait / h.params.theta, 1e-9);
+}
+
+/// Records the arrival time of every pulse a node receives.
+struct ArrivalLog final : PulseSink {
+  std::vector<double> times;
+  void on_pulse(NetNodeId, EdgeId, const Pulse&, SimTime now) override { times.push_back(now); }
+};
+
+/// A faulty gradient node at column 2, layer 1 of a 5-column line grid.
+/// Its layer-2 successors sit in columns 1, 2 and 3 behind edges of delay
+/// exactly d, so make_send_fault builds its record from real columns, and
+/// each successor logs what arrives. Predecessor pulses are injected
+/// balanced (own copy at +2, neighbours at 0 and +4), so a correct node
+/// would pulse at own + Lambda - d and its pulse would land d later.
+struct SendFaultHarness {
+  Simulator sim;
+  Network net{sim};
+  NodeArena arena;
+  Grid grid{BaseGraph::line_replicated(5), 3};
+  GridNodeId self = grid.id(grid.base().nodes_in_column(2).front(), 1);
+  AlgorithmSettings settings;
+  SendFault fault;
+  std::optional<GradientTrixNode> node;
+  std::array<ArrivalLog, 3> by_column;  // successors in columns 1, 2, 3
+
+  explicit SendFaultHarness(const FaultSpec& spec) {
+    for (GridNodeId g = 0; g < grid.node_count(); ++g) net.add_node(nullptr);
+    settings.params = Params::with(1000.0, 10.0, 1.0005);
+    settings.skew_bound_hint = settings.params.thm11_bound(4);
+    for (const GridNodeId succ : grid.successors(self)) {
+      net.add_edge(self, succ, settings.params.d);
+      const std::uint32_t col = grid.base().column(grid.base_of(succ));
+      net.set_sink(succ, &by_column.at(col - 1));
+    }
+    Rng fault_rng(7);
+    fault = make_send_fault(spec, self, grid, net, fault_rng);
+    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), grid.predecessors(self), settings,
+                 false, &fault, nullptr, arena.gradient);
+    net.set_sink(self, &*node);
+  }
+
+  /// Injects `waves` balanced waves, wave w at 1000 + (w - 1) Lambda, runs
+  /// them, and returns when a correct node's wave-1 pulse would land.
+  double run(int waves) {
+    const auto preds = grid.predecessors(self);
+    for (int w = 1; w <= waves; ++w) {
+      const double base = 1000.0 + (w - 1) * settings.params.lambda;
+      net.inject(preds[1], self, Pulse{w}, base);
+      net.inject(preds[0], self, Pulse{w}, base + 2.0);
+      net.inject(preds[2], self, Pulse{w}, base + 4.0);
+    }
+    sim.run_all();
+    return 1002.0 + settings.params.lambda;  // own + (Lambda - d) + d
+  }
+};
+
+TEST(NodeUnit, StaticOffsetFaultShiftsPulse) {
+  SendFaultHarness h(FaultSpec::static_offset(123.0));
+  const double on_time = h.run(1);
+  for (const ArrivalLog& log : h.by_column) {
+    ASSERT_EQ(log.times.size(), 1u);
+    EXPECT_DOUBLE_EQ(log.times[0], on_time + 123.0);
+  }
+}
+
+TEST(NodeUnit, SplitFaultSendsEarlyLowOnTimeSameLateHigh) {
+  // The node fires alpha early and adds 0, alpha or 2 alpha per edge by the
+  // successor's column: lower, same, higher.
+  const double alpha = 40.0;
+  SendFaultHarness h(FaultSpec::split(alpha));
+  const double on_time = h.run(1);
+  for (const ArrivalLog& log : h.by_column) ASSERT_EQ(log.times.size(), 1u);
+  EXPECT_DOUBLE_EQ(h.by_column[0].times[0], on_time - alpha);
+  EXPECT_DOUBLE_EQ(h.by_column[1].times[0], on_time);
+  EXPECT_DOUBLE_EQ(h.by_column[2].times[0], on_time + alpha);
+}
+
+TEST(NodeUnit, JitterFaultExtrasStayWithinTwoAlpha) {
+  // The node fires alpha early and delays each edge by a fresh draw from
+  // [0, 2 alpha]: every arrival lies within alpha of on time.
+  const double alpha = 30.0;
+  const int waves = 8;
+  SendFaultHarness h(FaultSpec::jitter(alpha));
+  const double on_time = h.run(waves);
+  std::vector<double> extras;
+  for (const ArrivalLog& log : h.by_column) {
+    ASSERT_EQ(log.times.size(), static_cast<std::size_t>(waves));
+    for (std::size_t w = 0; w < log.times.size(); ++w) {
+      const double wave_on_time = on_time + static_cast<double>(w) * h.settings.params.lambda;
+      extras.push_back(log.times[w] - (wave_on_time - alpha));
+    }
+  }
+  for (const double extra : extras) {
+    EXPECT_GE(extra, -1e-9);
+    EXPECT_LE(extra, 2.0 * alpha + 1e-9);
+  }
+  const auto [lo, hi] = std::minmax_element(extras.begin(), extras.end());
+  EXPECT_GT(*hi - *lo, alpha / 2.0);  // the draws really vary
+}
+
+TEST(NodeUnit, MuteAfterFaultFallsSilent) {
+  // Correct for `after` pulses, then silent; the node itself keeps running.
+  SendFaultHarness h(FaultSpec::mute_after(2));
+  const double on_time = h.run(5);
+  EXPECT_EQ(h.node->counters().iterations, 5u);
+  EXPECT_EQ(h.fault.sent, 2);
+  for (const ArrivalLog& log : h.by_column) {
+    ASSERT_EQ(log.times.size(), 2u);
+    EXPECT_DOUBLE_EQ(log.times[0], on_time);
+  }
 }
 
 }  // namespace

@@ -108,6 +108,7 @@ struct Flood {
   NodeArena arena;
   CaptureRecorder recorder;
   Params params = Params::with(1000.0, 10.0, 1.0005);  // Lambda - d = 1000
+  AlgorithmSettings settings{.params = params, .skew_bound_hint = params.thm11_bound(15)};
   NetNodeId own = net.add_node();
   NetNodeId a = net.add_node();
   NetNodeId b = net.add_node();
@@ -121,12 +122,9 @@ struct Flood {
 
 TEST(PendingFlood, GradientNodeDropsTheOldestAndDrainsInArrivalOrder) {
   Flood f;
-  GradientNodeConfig config;
-  config.params = f.params;
-  config.skew_bound_hint = f.params.thm11_bound(15);
   GradientTrixNode node(f.sim, f.net, f.self, HardwareClock(1.0, 0.0),
-                        {f.preds.begin(), f.preds.end()}, config, &f.recorder,
-                        f.arena.gradient);
+                        {f.preds.begin(), f.preds.end()}, f.settings, false, nullptr,
+                        &f.recorder, f.arena.gradient);
   f.net.set_sink(f.self, &node);
   // Wave 1 completes; the node then waits to broadcast at 2002.
   f.arrive(f.a, 1000.0, 1);
@@ -157,7 +155,7 @@ TEST(PendingFlood, GradientNodeDropsTheOldestAndDrainsInArrivalOrder) {
 TEST(PendingFlood, TrixNodeDropsTheOldestAndDrainsInArrivalOrder) {
   Flood f;
   TrixNaiveNode node(f.sim, f.net, f.self, HardwareClock(1.0, 0.0),
-                     {f.preds.begin(), f.preds.end()}, f.params, &f.recorder, f.arena.trix);
+                     {f.preds.begin(), f.preds.end()}, f.settings, &f.recorder, f.arena.trix);
   f.net.set_sink(f.self, &node);
   f.arrive(f.a, 1000.0, 1);
   // 20 repeats from a before the wave's second copy: 16 kept (stamps 6..21).
@@ -179,7 +177,7 @@ TEST(PendingFlood, LynchWelchNodeKeepsEveryQueuedPulseAndTakesOnePerWave) {
   Flood f;
   const std::array<NetNodeId, 2> preds{f.a, f.b};
   LynchWelchGridNode node(f.sim, f.net, f.self, HardwareClock(1.0, 0.0),
-                          {preds.begin(), preds.end()}, f.params, 0, &f.recorder, f.arena.lw);
+                          {preds.begin(), preds.end()}, f.settings, &f.recorder, f.arena.lw);
   f.net.set_sink(f.self, &node);
   // a runs 20 waves ahead (more than 16, under the cap of 32): nothing may
   // be dropped, and each fire takes exactly a's earliest queued pulse.
@@ -198,7 +196,7 @@ TEST(PendingFlood, LynchWelchOverflowIsAHardError) {
   Flood f;
   const std::array<NetNodeId, 2> preds{f.a, f.b};
   LynchWelchGridNode node(f.sim, f.net, f.self, HardwareClock(1.0, 0.0),
-                          {preds.begin(), preds.end()}, f.params, 0, &f.recorder, f.arena.lw);
+                          {preds.begin(), preds.end()}, f.settings, &f.recorder, f.arena.lw);
   f.net.set_sink(f.self, &node);
   f.arrive(f.a, 1.0, 0);
   for (int k = 1; k <= 33; ++k) f.arrive(f.a, 1.0 + k, k);  // the 33rd queued overflows

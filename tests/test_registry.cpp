@@ -466,8 +466,9 @@ TEST(LynchWelchGrid, PredecessorRunningTwoWavesAheadDoesNotStallTheNode) {
   const NetNodeId lw = net.add_node();
   NodeArena arena;
   const std::array<NetNodeId, 2> preds{a, b};
-  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), preds,
-                          Params::with(1000.0, 10.0, 1.0005), 0, nullptr, arena.lw);
+  const AlgorithmSettings settings{.params = Params::with(1000.0, 10.0, 1.0005)};
+  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), preds, settings, nullptr,
+                          arena.lw);
   net.set_sink(lw, &node);
   // Wave 0 completes; A then runs two waves ahead before the node fires.
   net.inject(a, lw, Pulse{0}, 1.0);
